@@ -120,9 +120,9 @@ func NewLRUCache(capacityBytes int64) (Cache, error) { return cache.NewLRU(capac
 // sustains a capacity/dataset hit fraction across epochs.
 func NewNoEvictCache(capacityBytes int64) (Cache, error) { return cache.NewNoEvict(capacityBytes) }
 
-// NewCachingFetcher wraps a storage client so raw fetches hit the local
-// cache first.
-func NewCachingFetcher(client *storage.Client, c Cache) *cache.FetchingCache {
+// NewCachingFetcher wraps any storage client (a session, a retrying client,
+// a sharded fan-out) so raw fetches hit the local cache first.
+func NewCachingFetcher(client storage.Fetcher, c Cache) *cache.FetchingCache {
 	return cache.NewFetchingCache(client, c)
 }
 

@@ -2,7 +2,6 @@ package cache
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/dataset"
 	"repro/internal/pipeline"
@@ -14,116 +13,74 @@ import (
 // per-epoch random augmentations and must be recomputed, which is the
 // paper's argument for keeping preprocessing online rather than storing
 // preprocessed datasets.
+//
+// Raw fetches that hit the cache cost zero wire bytes; raw misses populate
+// it; offloaded fetches bypass it entirely. A reduced-fidelity raw
+// directive is served from a cached full object by truncating its
+// progressive container locally — bit-identical to the prefix the server
+// would slice. Only full-fidelity fetches populate the cache, so a
+// truncated container never poisons full-fidelity readers.
 type FetchingCache struct {
-	client *storage.Client
-	cache  Cache
+	storage.Fetcher
+	cache Cache
 }
 
 // NewFetchingCache wraps client with cache.
-func NewFetchingCache(client *storage.Client, c Cache) *FetchingCache {
-	return &FetchingCache{client: client, cache: c}
+func NewFetchingCache(client storage.Fetcher, c Cache) *FetchingCache {
+	return &FetchingCache{Fetcher: client, cache: c}
 }
 
-// Fetch returns the sample's artifact. Raw fetches that hit the cache cost
-// zero wire bytes; raw misses populate the cache. Offloaded fetches bypass
-// the cache entirely. A reduced-fidelity raw directive is served from a
-// cached full object by truncating its progressive container locally —
-// bit-identical to the prefix the server would slice; only full-fidelity
-// fetches populate the cache, so a truncated container never poisons
-// full-fidelity readers.
+// Fetch serves a raw sample from the cache or fetches (and caches) it.
 func (f *FetchingCache) Fetch(ctx context.Context, sample uint32, split int, epoch uint64) (storage.FetchResult, error) {
+	return fetchThrough(ctx, f, f.Fetcher, sample, split, epoch)
+}
+
+// FetchBatch serves cache hits locally and forwards the misses in one
+// batched round trip, preserving request order.
+func (f *FetchingCache) FetchBatch(ctx context.Context, samples []uint32, splits []int, epoch uint64) ([]storage.FetchResult, error) {
+	return batchThrough(f, samples, splits, epoch, func(s []uint32, sp []int) ([]storage.FetchResult, error) {
+		return f.Fetcher.FetchBatch(ctx, s, sp, epoch)
+	})
+}
+
+// FetchShard serves cache hits locally and sends only the misses to the
+// shard's link.
+func (f *FetchingCache) FetchShard(ctx context.Context, shard int, samples []uint32, splits []int, epoch uint64) ([]storage.FetchResult, error) {
+	return batchThrough(f, samples, splits, epoch, func(s []uint32, sp []int) ([]storage.FetchResult, error) {
+		return f.Fetcher.FetchShard(ctx, shard, s, sp, epoch)
+	})
+}
+
+func (f *FetchingCache) lookup(sample uint32, split int, _ uint64) (storage.FetchResult, bool, error) {
 	cut, fid := storage.UnpackDirective(split)
-	if cut == 0 {
-		if data, ok := f.cache.Get(sample); ok {
-			raw := data
-			if fid > 0 {
-				if prefix, ok := truncateBodyToFidelity(data, uint8(fid)); ok {
-					raw = prefix
-				}
-			}
-			return storage.FetchResult{
-				Sample:    sample,
-				Artifact:  pipeline.RawArtifact(raw),
-				Split:     0,
-				Fidelity:  fid,
-				WireBytes: 0,
-			}, nil
+	if cut != 0 {
+		return storage.FetchResult{}, false, nil
+	}
+	data, ok := f.cache.Get(sample)
+	if !ok {
+		return storage.FetchResult{}, false, nil
+	}
+	if fid > 0 {
+		if prefix, ok := truncateBodyToFidelity(data, uint8(fid)); ok {
+			data = prefix
 		}
 	}
-	res, err := f.client.Fetch(ctx, sample, split, epoch)
-	if err != nil {
-		return storage.FetchResult{}, err
-	}
+	return storage.FetchResult{Sample: sample, Artifact: pipeline.RawArtifact(data), Fidelity: fid}, true, nil
+}
+
+func (f *FetchingCache) keep(sample uint32, split int, _ uint64, res storage.FetchResult) {
+	// split == 0 means cut 0 AND full fidelity: truncated containers are
+	// never inserted. Safe to retain: raw artifact payloads are decoded
+	// into plain owned memory, never pool-backed buffers (see
+	// pipeline.DecodeArtifact), so the cache cannot alias memory the arena
+	// might hand out again.
 	if split == 0 && res.Artifact.Kind == pipeline.KindRaw {
-		// Safe to retain: raw artifact payloads are decoded into plain owned
-		// memory, never pool-backed buffers (see pipeline.DecodeArtifact), so
-		// the cache cannot alias memory the arena might hand out again.
-		// (split == 0 means cut 0 AND full fidelity: truncated containers
-		// are never inserted.)
 		f.cache.Put(sample, res.Artifact.Raw)
 	}
-	return res, nil
 }
-
-// FetchBatch serves cache hits locally and forwards the misses to the
-// server in a single batched round trip, preserving request order.
-// Per-item failures from the server scatter through to the matching
-// FetchResult.Err; only successfully fetched raw items populate the cache.
-func (f *FetchingCache) FetchBatch(ctx context.Context, samples []uint32, splits []int, epoch uint64) ([]storage.FetchResult, error) {
-	if len(samples) != len(splits) {
-		return nil, fmt.Errorf("cache: %d samples but %d splits", len(samples), len(splits))
-	}
-	out := make([]storage.FetchResult, len(samples))
-	var missSamples []uint32
-	var missSplits []int
-	var missIdx []int
-	for i := range samples {
-		if cut, fid := storage.UnpackDirective(splits[i]); cut == 0 {
-			if data, ok := f.cache.Get(samples[i]); ok {
-				raw := data
-				if fid > 0 {
-					if prefix, ok := truncateBodyToFidelity(data, uint8(fid)); ok {
-						raw = prefix
-					}
-				}
-				out[i] = storage.FetchResult{Sample: samples[i], Artifact: pipeline.RawArtifact(raw), Fidelity: fid}
-				continue
-			}
-		}
-		missSamples = append(missSamples, samples[i])
-		missSplits = append(missSplits, splits[i])
-		missIdx = append(missIdx, i)
-	}
-	if len(missSamples) > 0 {
-		fetched, err := f.client.FetchBatch(ctx, missSamples, missSplits, epoch)
-		if err != nil {
-			return nil, err
-		}
-		for k, res := range fetched {
-			i := missIdx[k]
-			out[i] = res
-			if res.Err == nil && missSplits[k] == 0 && res.Artifact.Kind == pipeline.KindRaw {
-				// Raw payloads are plain owned memory (never pooled); see Fetch.
-				f.cache.Put(missSamples[k], res.Artifact.Raw)
-			}
-		}
-	}
-	return out, nil
-}
-
-// NumSamples reports the dataset size from the wrapped client.
-func (f *FetchingCache) NumSamples() int { return f.client.NumSamples() }
-
-// SetPlanVersion implements storage.PlanVersioner by forwarding to the
-// wrapped session — cache hits are local and carry no stamp, but every
-// fetch that does reach the wire carries the current plan version.
-func (f *FetchingCache) SetPlanVersion(v uint32) { f.client.SetPlanVersion(v) }
 
 // Stats exposes the underlying cache counters.
 func (f *FetchingCache) Stats() Stats { return f.cache.Stats() }
-
-// Close closes the wrapped client.
-func (f *FetchingCache) Close() error { return f.client.Close() }
 
 // ExpectedHitFraction estimates the steady-state hit rate of a
 // uniform-eviction cache of capacityBytes over repeated full scans of a

@@ -188,6 +188,14 @@ func (p *progFetcher) FetchBatch(ctx context.Context, samples []uint32, splits [
 func (p *progFetcher) NumSamples() int { return 1 }
 func (p *progFetcher) Close() error    { return nil }
 
+func (p *progFetcher) SetPlanVersion(uint32) {}
+func (p *progFetcher) ShardInfo() (int, func(uint32) int, bool) {
+	return 1, nil, false
+}
+func (p *progFetcher) FetchShard(ctx context.Context, _ int, samples []uint32, splits []int, epoch uint64) ([]storage.FetchResult, error) {
+	return p.FetchBatch(ctx, samples, splits, epoch)
+}
+
 // The per-job raw cache must serve reduced-fidelity directives from a cached
 // full object at zero wire bytes, without ever inserting truncated bytes.
 func TestFetchingCacheServesTruncatedPrefix(t *testing.T) {

@@ -181,6 +181,12 @@ func (f *fakeFetcher) FetchBatch(ctx context.Context, samples []uint32, splits [
 func (f *fakeFetcher) NumSamples() int         { return f.n }
 func (f *fakeFetcher) SetPlanVersion(v uint32) { f.lastVersion = v }
 func (f *fakeFetcher) Close() error            { f.closed = true; return nil }
+func (f *fakeFetcher) ShardInfo() (int, func(uint32) int, bool) {
+	return 1, nil, false
+}
+func (f *fakeFetcher) FetchShard(ctx context.Context, _ int, samples []uint32, splits []int, epoch uint64) ([]storage.FetchResult, error) {
+	return f.FetchBatch(ctx, samples, splits, epoch)
+}
 
 func TestTenantFetcherValidation(t *testing.T) {
 	shared, _ := NewShared(1 << 20)

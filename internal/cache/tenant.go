@@ -9,22 +9,12 @@ import (
 	"repro/internal/storage"
 )
 
-// Fetcher is the minimal fetch surface the tenant wrapper composes over. It
-// is satisfied by *storage.Client, *storage.ReconnectingClient,
-// *cluster.ShardedClient, and *FetchingCache, so the cross-job cache stacks
-// on any transport the fleet uses.
-type Fetcher interface {
-	Fetch(ctx context.Context, sample uint32, split int, epoch uint64) (storage.FetchResult, error)
-	FetchBatch(ctx context.Context, samples []uint32, splits []int, epoch uint64) ([]storage.FetchResult, error)
-	NumSamples() int
-	Close() error
-}
-
 // TenantFetcher is one tenant's view of the fleet's shared artifact cache:
 // fetches are keyed by (dataset, sample, cut) — not by tenant — so artifacts
 // another tenant of the same share group already pulled are served from
 // local memory at zero wire bytes, with hits and bytes accounted to this
-// tenant in the shared cache's per-tenant counters.
+// tenant in the shared cache's per-tenant counters. It stacks over any
+// storage.Fetcher.
 //
 // Correctness contract: every tenant of a share group must dial the storage
 // tier with the group's dataset share key as job ID, so offloaded prefixes
@@ -33,7 +23,7 @@ type Fetcher interface {
 // fresh artifact from the immutable cached encoding, so tenants never alias
 // (and can never corrupt) each other's buffers.
 type TenantFetcher struct {
-	inner   Fetcher
+	storage.Fetcher
 	shared  *SharedArtifactCache
 	tenant  string
 	dataset uint64
@@ -41,7 +31,7 @@ type TenantFetcher struct {
 
 // NewTenantFetcher wraps inner for one tenant of a share group. dataset is
 // the group's share key (the job ID the inner client dialed with).
-func NewTenantFetcher(inner Fetcher, shared *SharedArtifactCache, tenant string, dataset uint64) (*TenantFetcher, error) {
+func NewTenantFetcher(inner storage.Fetcher, shared *SharedArtifactCache, tenant string, dataset uint64) (*TenantFetcher, error) {
 	if inner == nil {
 		return nil, errors.New("cache: tenant fetcher needs a client")
 	}
@@ -51,7 +41,31 @@ func NewTenantFetcher(inner Fetcher, shared *SharedArtifactCache, tenant string,
 	if tenant == "" {
 		return nil, errors.New("cache: tenant fetcher needs a tenant name")
 	}
-	return &TenantFetcher{inner: inner, shared: shared, tenant: tenant, dataset: dataset}, nil
+	return &TenantFetcher{Fetcher: inner, shared: shared, tenant: tenant, dataset: dataset}, nil
+}
+
+// Fetch serves the sample from the shared cache when any tenant of the share
+// group already fetched it, and forwards (then retains) otherwise.
+func (t *TenantFetcher) Fetch(ctx context.Context, sample uint32, split int, epoch uint64) (storage.FetchResult, error) {
+	return fetchThrough(ctx, t, t.Fetcher, sample, split, epoch)
+}
+
+// FetchBatch serves shared-cache hits locally and forwards only the misses,
+// preserving request order.
+func (t *TenantFetcher) FetchBatch(ctx context.Context, samples []uint32, splits []int, epoch uint64) ([]storage.FetchResult, error) {
+	return batchThrough(t, samples, splits, epoch, func(s []uint32, sp []int) ([]storage.FetchResult, error) {
+		return t.Fetcher.FetchBatch(ctx, s, sp, epoch)
+	})
+}
+
+// FetchShard serves shared-cache hits locally and sends only the misses to
+// the shard's link, which makes the prefetcher's per-shard issue queues
+// cache-aware: a stream entry another tenant already pulled never occupies
+// the link at all.
+func (t *TenantFetcher) FetchShard(ctx context.Context, shard int, samples []uint32, splits []int, epoch uint64) ([]storage.FetchResult, error) {
+	return batchThrough(t, samples, splits, epoch, func(s []uint32, sp []int) ([]storage.FetchResult, error) {
+		return t.Fetcher.FetchShard(ctx, shard, s, sp, epoch)
+	})
 }
 
 // key builds the fleet-wide artifact key for one fetch. Raw (cut-0)
@@ -69,153 +83,29 @@ func (t *TenantFetcher) key(sample uint32, split int, epoch uint64) ArtifactKey 
 	return k
 }
 
-// hit decodes a cached encoding into a fresh, caller-owned artifact.
-func hit(sample uint32, split int, data []byte) (storage.FetchResult, error) {
+// lookup decodes a cached encoding into a fresh, caller-owned artifact.
+func (t *TenantFetcher) lookup(sample uint32, split int, epoch uint64) (storage.FetchResult, bool, error) {
+	data, ok := t.shared.Get(t.tenant, t.key(sample, split, epoch))
+	if !ok {
+		return storage.FetchResult{}, false, nil
+	}
 	art, err := pipeline.DecodeArtifact(data)
 	if err != nil {
 		// A corrupt cache entry would be a bug, not an I/O fault; surface it.
-		return storage.FetchResult{}, fmt.Errorf("cache: shared entry for sample %d: %w", sample, err)
+		return storage.FetchResult{}, false, fmt.Errorf("cache: shared entry for sample %d: %w", sample, err)
 	}
 	cut, fid := storage.UnpackDirective(split)
-	return storage.FetchResult{Sample: sample, Artifact: art, Split: cut, Fidelity: fid, WireBytes: 0}, nil
+	return storage.FetchResult{Sample: sample, Artifact: art, Split: cut, Fidelity: fid}, true, nil
 }
 
-// retain encodes a fetched artifact into a plain owned buffer for the shared
+// keep encodes a fetched artifact into a plain owned buffer for the shared
 // cache. The source artifact is only read, never retained or released.
-func (t *TenantFetcher) retain(key ArtifactKey, res storage.FetchResult) {
+func (t *TenantFetcher) keep(sample uint32, split int, epoch uint64, res storage.FetchResult) {
 	enc, err := res.Artifact.AppendEncode(make([]byte, 0, res.Artifact.WireSize()))
 	if err != nil {
 		return // unencodable artifact kinds are simply not cached
 	}
-	t.shared.Put(t.tenant, key, enc)
-}
-
-// Fetch serves the sample from the shared cache when any tenant of the share
-// group already fetched it, and forwards (then retains) otherwise.
-func (t *TenantFetcher) Fetch(ctx context.Context, sample uint32, split int, epoch uint64) (storage.FetchResult, error) {
-	k := t.key(sample, split, epoch)
-	if data, ok := t.shared.Get(t.tenant, k); ok {
-		return hit(sample, split, data)
-	}
-	res, err := t.inner.Fetch(ctx, sample, split, epoch)
-	if err != nil {
-		return res, err
-	}
-	t.retain(k, res)
-	return res, nil
-}
-
-// FetchBatch serves cache hits locally and forwards only the misses,
-// preserving request order. Per-item failures scatter through unchanged;
-// only successful fetches populate the cache.
-func (t *TenantFetcher) FetchBatch(ctx context.Context, samples []uint32, splits []int, epoch uint64) ([]storage.FetchResult, error) {
-	if len(samples) != len(splits) {
-		return nil, fmt.Errorf("cache: %d samples but %d splits", len(samples), len(splits))
-	}
-	out := make([]storage.FetchResult, len(samples))
-	var missSamples []uint32
-	var missSplits []int
-	var missIdx []int
-	for i := range samples {
-		k := t.key(samples[i], splits[i], epoch)
-		if data, ok := t.shared.Get(t.tenant, k); ok {
-			res, err := hit(samples[i], splits[i], data)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = res
-			continue
-		}
-		missSamples = append(missSamples, samples[i])
-		missSplits = append(missSplits, splits[i])
-		missIdx = append(missIdx, i)
-	}
-	if len(missSamples) > 0 {
-		fetched, err := t.inner.FetchBatch(ctx, missSamples, missSplits, epoch)
-		if err != nil {
-			return nil, err
-		}
-		for j, res := range fetched {
-			out[missIdx[j]] = res
-			if res.Err == nil {
-				t.retain(t.key(missSamples[j], missSplits[j], epoch), res)
-			}
-		}
-	}
-	return out, nil
-}
-
-// NumSamples reports the dataset size from the wrapped client.
-func (t *TenantFetcher) NumSamples() int { return t.inner.NumSamples() }
-
-// ShardInfo implements storage.ShardRouter by forwarding to the wrapped
-// client; ok=false when the transport underneath has no shard structure, in
-// which case lookahead falls back to single-link scheduling (through the
-// cache as usual).
-func (t *TenantFetcher) ShardInfo() (int, func(sample uint32) int, bool) {
-	if r, ok := t.inner.(storage.ShardRouter); ok {
-		return r.ShardInfo()
-	}
-	return 1, nil, false
-}
-
-// FetchShard implements storage.ShardRouter with the same deepest-first
-// preference as FetchBatch: shared-cache hits are served from local memory
-// at zero wire bytes, and only the misses go to the shard's link. This is
-// what makes the prefetcher's per-shard issue queues cache-aware — a stream
-// entry another tenant already pulled never occupies the link at all. When
-// the wrapped client has no FetchShard, misses forward through FetchBatch
-// (the single-shard fallback, where routing is a no-op).
-func (t *TenantFetcher) FetchShard(ctx context.Context, shard int, samples []uint32, splits []int, epoch uint64) ([]storage.FetchResult, error) {
-	if len(samples) != len(splits) {
-		return nil, fmt.Errorf("cache: %d samples but %d splits", len(samples), len(splits))
-	}
-	out := make([]storage.FetchResult, len(samples))
-	var missSamples []uint32
-	var missSplits []int
-	var missIdx []int
-	for i := range samples {
-		k := t.key(samples[i], splits[i], epoch)
-		if data, ok := t.shared.Get(t.tenant, k); ok {
-			res, err := hit(samples[i], splits[i], data)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = res
-			continue
-		}
-		missSamples = append(missSamples, samples[i])
-		missSplits = append(missSplits, splits[i])
-		missIdx = append(missIdx, i)
-	}
-	if len(missSamples) > 0 {
-		var fetched []storage.FetchResult
-		var err error
-		if r, ok := t.inner.(storage.ShardRouter); ok {
-			fetched, err = r.FetchShard(ctx, shard, missSamples, missSplits, epoch)
-		} else {
-			fetched, err = t.inner.FetchBatch(ctx, missSamples, missSplits, epoch)
-		}
-		if err != nil {
-			return nil, err
-		}
-		for j, res := range fetched {
-			out[missIdx[j]] = res
-			if res.Err == nil {
-				t.retain(t.key(missSamples[j], missSplits[j], epoch), res)
-			}
-		}
-	}
-	return out, nil
-}
-
-// SetPlanVersion implements storage.PlanVersioner when the wrapped client
-// does: cache hits are local and carry no stamp, but every fetch that
-// reaches the wire carries the tenant's current plan version.
-func (t *TenantFetcher) SetPlanVersion(v uint32) {
-	if pv, ok := t.inner.(storage.PlanVersioner); ok {
-		pv.SetPlanVersion(v)
-	}
+	t.shared.Put(t.tenant, t.key(sample, split, epoch), enc)
 }
 
 // Stats returns this tenant's slice of the shared cache accounting.
@@ -223,6 +113,3 @@ func (t *TenantFetcher) Stats() TenantCacheStats { return t.shared.TenantStats(t
 
 // Shared exposes the underlying fleet cache (monitor wiring).
 func (t *TenantFetcher) Shared() *SharedArtifactCache { return t.shared }
-
-// Close closes the wrapped client.
-func (t *TenantFetcher) Close() error { return t.inner.Close() }

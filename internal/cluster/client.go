@@ -10,15 +10,13 @@ import (
 	"repro/internal/wire"
 )
 
-// ShardClient is one shard's session as the fan-out client needs it. It is
-// satisfied by *storage.Client and *storage.ReconnectingClient, so per-shard
-// resilience composes underneath the fan-out.
+// ShardClient is one shard's session as the fan-out client needs it: the
+// storage.Fetcher contract plus the server's counters. It is satisfied by
+// *storage.Client and *storage.ReconnectingClient, so per-shard resilience
+// composes underneath the fan-out.
 type ShardClient interface {
-	Fetch(ctx context.Context, sample uint32, split int, epoch uint64) (storage.FetchResult, error)
-	FetchBatch(ctx context.Context, samples []uint32, splits []int, epoch uint64) ([]storage.FetchResult, error)
+	storage.Fetcher
 	Stats(ctx context.Context) (wire.StatsResp, error)
-	NumSamples() int
-	Close() error
 }
 
 // ErrShardDown marks a per-item failure caused by an unreachable shard. In
@@ -74,17 +72,12 @@ func (c *ShardedClient) NumSamples() int { return c.n }
 // ShardMap returns the placement map the client routes by.
 func (c *ShardedClient) ShardMap() *ShardMap { return c.m }
 
-// Shard returns shard s's underlying session.
-func (c *ShardedClient) Shard(s int) ShardClient { return c.shards[s] }
-
 // SetPlanVersion implements storage.PlanVersioner by forwarding to every
-// shard session that supports stamping, so all shards of a cluster observe
-// the same control-plane version.
+// shard session, so all shards of a cluster observe the same control-plane
+// version.
 func (c *ShardedClient) SetPlanVersion(v uint32) {
 	for _, sc := range c.shards {
-		if pv, ok := sc.(storage.PlanVersioner); ok {
-			pv.SetPlanVersion(v)
-		}
+		sc.SetPlanVersion(v)
 	}
 }
 

@@ -142,6 +142,11 @@ func (f *fakeShard) FetchBatch(context.Context, []uint32, []int, uint64) ([]stor
 func (f *fakeShard) Stats(context.Context) (wire.StatsResp, error) { return wire.StatsResp{}, nil }
 func (f *fakeShard) NumSamples() int                               { return f.n }
 func (f *fakeShard) Close() error                                  { return nil }
+func (f *fakeShard) SetPlanVersion(uint32)                         {}
+func (f *fakeShard) ShardInfo() (int, func(uint32) int, bool)      { return 1, nil, false }
+func (f *fakeShard) FetchShard(context.Context, int, []uint32, []int, uint64) ([]storage.FetchResult, error) {
+	return nil, errors.New("fake")
+}
 
 func TestNewShardedClientValidation(t *testing.T) {
 	m, err := cluster.NewShardMap(2)

@@ -254,9 +254,14 @@ func dequant(v uint8, shift uint, half uint8) uint8 {
 	return uint8(out)
 }
 
-// DecodeDims returns the pixel dimensions recorded in an SJPG header without
-// decompressing the payload.
+// DecodeDims returns the pixel dimensions recorded in the header of an SJPG
+// stream or of an SJPR container (or any well-formed container prefix)
+// without decompressing the payload.
 func DecodeDims(data []byte) (w, h int, err error) {
+	if IsProgressive(data) {
+		w, h, _, _, _, err = ProgressiveInfo(data)
+		return w, h, err
+	}
 	w, h, _, err = parseHeader(data)
 	return w, h, err
 }

@@ -13,19 +13,6 @@ import (
 	"repro/internal/wire"
 )
 
-// PlanVersioner is implemented by clients that stamp outgoing fetch
-// directives with the control plane's current plan version. Wrappers
-// (reconnecting clients, sharded fan-outs, caches) forward SetPlanVersion to
-// the sessions they own; callers discover support by type assertion so the
-// StorageClient interfaces stay stable.
-type PlanVersioner interface {
-	// SetPlanVersion updates the version stamped on subsequent fetches.
-	// Requests already in flight keep the version they were issued under —
-	// mixed-version traffic during a plan swap is legal because fetches are
-	// idempotent (augmentation seeds depend only on job, epoch, sample).
-	SetPlanVersion(v uint32)
-}
-
 // Client defaults; override via ClientOptions.
 const (
 	// DefaultRequestTimeout bounds a single request round trip so a stalled
@@ -173,6 +160,18 @@ func (c *Client) NumSamples() int { return int(c.ack.NumSamples) }
 
 // SetPlanVersion implements PlanVersioner: subsequent fetches carry v.
 func (c *Client) SetPlanVersion(v uint32) { c.planVersion.Store(v) }
+
+// ShardInfo implements ShardRouter: a single session has no shard structure.
+func (c *Client) ShardInfo() (int, func(uint32) int, bool) { return 1, nil, false }
+
+// FetchShard implements ShardRouter: shard 0 is the whole session, served
+// through FetchBatch; any other shard is rejected.
+func (c *Client) FetchShard(ctx context.Context, shard int, samples []uint32, splits []int, epoch uint64) ([]FetchResult, error) {
+	if err := checkLeafShard(shard); err != nil {
+		return nil, err
+	}
+	return c.FetchBatch(ctx, samples, splits, epoch)
+}
 
 // PlanVersion reports the version currently stamped on outgoing fetches.
 func (c *Client) PlanVersion() uint32 { return c.planVersion.Load() }

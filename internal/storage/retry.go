@@ -225,6 +225,18 @@ func (r *ReconnectingClient) SetPlanVersion(v uint32) {
 	}
 }
 
+// ShardInfo implements ShardRouter: a single session has no shard structure.
+func (r *ReconnectingClient) ShardInfo() (int, func(uint32) int, bool) { return 1, nil, false }
+
+// FetchShard implements ShardRouter: shard 0 is the whole session, served
+// through FetchBatch (with its retries); any other shard is rejected.
+func (r *ReconnectingClient) FetchShard(ctx context.Context, shard int, samples []uint32, splits []int, epoch uint64) ([]FetchResult, error) {
+	if err := checkLeafShard(shard); err != nil {
+		return nil, err
+	}
+	return r.FetchBatch(ctx, samples, splits, epoch)
+}
+
 // acquire returns the live session and its generation, redialing if the
 // previous one was invalidated. Dialing happens under the lock, so exactly
 // one caller redials while the rest wait for the result.

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/cache"
+	"repro/internal/cluster"
 	"repro/internal/netsim"
 	"repro/internal/storage"
 )
@@ -14,6 +15,8 @@ var (
 	_ StorageClient = (*storage.Client)(nil)
 	_ StorageClient = (*storage.ReconnectingClient)(nil)
 	_ StorageClient = (*cache.FetchingCache)(nil)
+	_ StorageClient = (*cache.TenantFetcher)(nil)
+	_ StorageClient = (*cluster.ShardedClient)(nil)
 )
 
 // TestTrainerWithReconnectingClientSurvivesFlakyLinks runs a full epoch

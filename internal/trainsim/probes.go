@@ -10,7 +10,7 @@ import (
 	"repro/internal/profiler"
 )
 
-// decodedDims reads the stored image's dimensions from its SJPG header
+// decodedDims reads the stored image's dimensions from its SJPG or SJPR header
 // without a full decode.
 func decodedDims(raw []byte) (int, int, error) {
 	w, h, err := imaging.DecodeDims(raw)

@@ -27,18 +27,11 @@ import (
 	"repro/internal/wire"
 )
 
-// StorageClient is the compute node's view of the storage service. It is
-// satisfied by *storage.Client, *storage.ReconnectingClient (transparent
-// retry), and *cache.FetchingCache (local raw-object cache), so resilience
-// and caching compose with the trainer without changes here. Implementations
-// must be safe for concurrent use: the trainer pipelines many in-flight
-// requests over one shared session.
-type StorageClient interface {
-	Fetch(ctx context.Context, sample uint32, split int, epoch uint64) (storage.FetchResult, error)
-	FetchBatch(ctx context.Context, samples []uint32, splits []int, epoch uint64) ([]storage.FetchResult, error)
-	NumSamples() int
-	Close() error
-}
+// StorageClient is the compute node's view of the storage service: the
+// one client contract every layer of the fetch stack speaks (see
+// storage.Fetcher), so resilience, sharding and caching compose with the
+// trainer without changes here.
+type StorageClient = storage.Fetcher
 
 // Config describes a training client.
 type Config struct {
@@ -324,9 +317,7 @@ func (t *Trainer) ApplySnapshot(snap *policy.PlanSnapshot) {
 		return
 	}
 	old := t.snap.Swap(snap)
-	if pv, ok := t.client.(storage.PlanVersioner); ok {
-		pv.SetPlanVersion(uint32(snap.Version))
-	}
+	t.client.SetPlanVersion(uint32(snap.Version))
 	if old != nil && old.Version != snap.Version {
 		t.pf.NoteReplan()
 	}
@@ -359,20 +350,17 @@ func (t *Trainer) RunEpoch(epoch uint64, plan *policy.Plan, collector *profiler.
 
 // RunEpochSnapshot trains one epoch under a versioned plan snapshot from the
 // control plane. The snapshot's version is stamped onto the storage session
-// (when the client supports storage.PlanVersioner) so every fetch the epoch
-// issues carries it on the wire, and recorded in the report. Swapping
-// snapshots between epochs is always safe: preprocessing is deterministic in
-// (job, epoch, sample), so requests stamped with different versions — e.g.
-// in-flight fetches racing a swap — return identical artifacts for the same
-// split.
+// so every fetch the epoch issues carries it on the wire, and recorded in
+// the report. Swapping snapshots between epochs is always safe:
+// preprocessing is deterministic in (job, epoch, sample), so requests
+// stamped with different versions — e.g. in-flight fetches racing a swap —
+// return identical artifacts for the same split.
 func (t *Trainer) RunEpochSnapshot(epoch uint64, snap *policy.PlanSnapshot, collector *profiler.Collector) (EpochReport, error) {
 	if snap == nil {
 		return EpochReport{}, errors.New("trainsim: nil plan snapshot")
 	}
 	t.snap.Store(snap)
-	if pv, ok := t.client.(storage.PlanVersioner); ok {
-		pv.SetPlanVersion(uint32(snap.Version))
-	}
+	t.client.SetPlanVersion(uint32(snap.Version))
 	return t.runEpoch(epoch, snap.Plan, snap.Version, collector)
 }
 
@@ -526,21 +514,15 @@ func (t *Trainer) startReactive(ctx context.Context, cancel context.CancelFunc, 
 
 // startLookahead runs the clairvoyant fetch stage: a prefetch.Scheduler
 // materializes the epoch's exact stream, partitions it by the client's
-// placement map (storage.ShardRouter — single-link fallback otherwise), and
+// placement map (ShardInfo — single-link fallback when unrouted), and
 // keeps Lookahead round trips in flight per shard. Workers consume in
 // stream order via Next. The returned stop function aborts the scheduler
 // and waits out its issue goroutines; it is safe to call after a normal
 // drain.
 func (t *Trainer) startLookahead(ctx context.Context, cancel context.CancelFunc, epoch uint64, order []int, plan *policy.Plan, collector *profiler.Collector, results chan<- sampleOutcome, computeSem chan struct{}) (func(), error) {
-	shards := 1
-	var shardOf func(uint32) int
-	router, _ := t.client.(storage.ShardRouter)
-	if router != nil {
-		if s, f, ok := router.ShardInfo(); ok {
-			shards, shardOf = s, f
-		} else {
-			router = nil
-		}
+	shards, shardOf, routed := t.client.ShardInfo()
+	if !routed {
+		shards, shardOf = 1, nil
 	}
 	batch := 1
 	if t.cfg.FetchBatchSize > 1 {
@@ -571,8 +553,8 @@ func (t *Trainer) startLookahead(ctx context.Context, cancel context.CancelFunc,
 		var res []storage.FetchResult
 		var err error
 		switch {
-		case router != nil:
-			res, err = router.FetchShard(ctx, shard, samples, splits, epoch)
+		case routed:
+			res, err = t.client.FetchShard(ctx, shard, samples, splits, epoch)
 		case len(samples) == 1:
 			var r storage.FetchResult
 			r, err = t.client.Fetch(ctx, samples[0], splits[0], epoch)

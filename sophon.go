@@ -19,7 +19,6 @@
 package sophon
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -385,48 +384,9 @@ func (c *Cluster) NewTrainer(opts TrainerOptions) (*Trainer, error) {
 	if !g.Valid() {
 		g = gpu.AlexNet
 	}
-	var sharedCache cache.Cache
-	if opts.CacheBytes > 0 {
-		var err error
-		sharedCache, err = cache.NewNoEvict(opts.CacheBytes)
-		if err != nil {
-			return nil, err
-		}
-	}
-	dialSession := func() (*storage.Client, error) {
-		return storage.DialWithOptions(c.addr, storage.ClientOptions{
-			JobID:          opts.JobID,
-			RequestTimeout: opts.RequestTimeout,
-			MaxInFlight:    opts.MaxInFlight,
-		})
-	}
-	dial := func() (trainsim.StorageClient, error) {
-		var client trainsim.StorageClient
-		if opts.RetryAttempts > 1 {
-			rc, err := storage.NewReconnecting(dialSession, opts.RetryAttempts, opts.RetryBackoff, nil)
-			if err != nil {
-				return nil, err
-			}
-			client = rc
-		} else {
-			sc, err := dialSession()
-			if err != nil {
-				return nil, err
-			}
-			client = sc
-		}
-		if sharedCache != nil {
-			client = cachingClient{inner: client, cache: sharedCache}
-		}
-		if opts.SharedCache != nil {
-			tf, err := cache.NewTenantFetcher(client, opts.SharedCache, opts.TenantName, opts.JobID)
-			if err != nil {
-				client.Close()
-				return nil, err
-			}
-			client = tf
-		}
-		return client, nil
+	dial, err := c.clientStack(opts)
+	if err != nil {
+		return nil, err
 	}
 	inner, err := trainsim.New(trainsim.Config{
 		DialClient:     dial,
@@ -446,69 +406,55 @@ func (c *Cluster) NewTrainer(opts TrainerOptions) (*Trainer, error) {
 	return &Trainer{inner: inner, n: inner.N()}, nil
 }
 
-// cachingClient adapts cache.FetchingCache semantics over any
-// StorageClient (the cache package wraps the concrete *storage.Client, so
-// compose manually here to also cover retry-wrapped clients).
-type cachingClient struct {
-	inner trainsim.StorageClient
-	cache cache.Cache
-}
-
-func (c cachingClient) Fetch(ctx context.Context, sample uint32, split int, epoch uint64) (storage.FetchResult, error) {
-	if split == 0 {
-		if data, ok := c.cache.Get(sample); ok {
-			return storage.FetchResult{Sample: sample, Artifact: pipeline.RawArtifact(data)}, nil
-		}
-	}
-	res, err := c.inner.Fetch(ctx, sample, split, epoch)
-	if err != nil {
-		return storage.FetchResult{}, err
-	}
-	if split == 0 && res.Artifact.Kind == pipeline.KindRaw {
-		c.cache.Put(sample, res.Artifact.Raw)
-	}
-	return res, nil
-}
-
-func (c cachingClient) FetchBatch(ctx context.Context, samples []uint32, splits []int, epoch uint64) ([]storage.FetchResult, error) {
-	out := make([]storage.FetchResult, len(samples))
-	var missS []uint32
-	var missSp []int
-	var missI []int
-	for i := range samples {
-		if splits[i] == 0 {
-			if data, ok := c.cache.Get(samples[i]); ok {
-				out[i] = storage.FetchResult{Sample: samples[i], Artifact: pipeline.RawArtifact(data)}
-				continue
-			}
-		}
-		missS = append(missS, samples[i])
-		missSp = append(missSp, splits[i])
-		missI = append(missI, i)
-	}
-	if len(missS) > 0 {
-		fetched, err := c.inner.FetchBatch(ctx, missS, missSp, epoch)
+// clientStack returns the dialer of the trainer's storage client: a
+// session, retrying when RetryAttempts > 1, under the trainer's local
+// no-evict cache when CacheBytes > 0, under the fleet's shared cache when
+// SharedCache is set. The local cache is created here, once, so every
+// session the dialer opens shares it.
+func (c *Cluster) clientStack(opts TrainerOptions) (func() (trainsim.StorageClient, error), error) {
+	var localCache cache.Cache
+	if opts.CacheBytes > 0 {
+		var err error
+		localCache, err = cache.NewNoEvict(opts.CacheBytes)
 		if err != nil {
 			return nil, err
 		}
-		for k, res := range fetched {
-			out[missI[k]] = res
-			if res.Err == nil && missSp[k] == 0 && res.Artifact.Kind == pipeline.KindRaw {
-				c.cache.Put(missS[k], res.Artifact.Raw)
+	}
+	dialSession := func() (*storage.Client, error) {
+		return storage.DialWithOptions(c.addr, storage.ClientOptions{
+			JobID:          opts.JobID,
+			RequestTimeout: opts.RequestTimeout,
+			MaxInFlight:    opts.MaxInFlight,
+		})
+	}
+	return func() (trainsim.StorageClient, error) {
+		var client trainsim.StorageClient
+		if opts.RetryAttempts > 1 {
+			rc, err := storage.NewReconnecting(dialSession, opts.RetryAttempts, opts.RetryBackoff, nil)
+			if err != nil {
+				return nil, err
 			}
+			client = rc
+		} else {
+			sc, err := dialSession()
+			if err != nil {
+				return nil, err
+			}
+			client = sc
 		}
-	}
-	return out, nil
-}
-
-func (c cachingClient) NumSamples() int { return c.inner.NumSamples() }
-func (c cachingClient) Close() error    { return c.inner.Close() }
-
-// SetPlanVersion forwards the control plane's stamp through the cache layer.
-func (c cachingClient) SetPlanVersion(v uint32) {
-	if pv, ok := c.inner.(storage.PlanVersioner); ok {
-		pv.SetPlanVersion(v)
-	}
+		if localCache != nil {
+			client = cache.NewFetchingCache(client, localCache)
+		}
+		if opts.SharedCache != nil {
+			tf, err := cache.NewTenantFetcher(client, opts.SharedCache, opts.TenantName, opts.JobID)
+			if err != nil {
+				client.Close()
+				return nil, err
+			}
+			client = tf
+		}
+		return client, nil
+	}, nil
 }
 
 // N returns the dataset size the server reported.
