@@ -154,11 +154,11 @@ func TestChaosSoakLookaheadPartition(t *testing.T) {
 	if a.Failed != b.Failed || a.Compared != b.Compared {
 		t.Fatalf("same seed, different outcomes:\n a %+v\n b %+v", a, b)
 	}
-	// The deep-lookahead soak and the reactive soak fetch through the same
-	// fault schedule, so their loss accounting must agree.
-	reactive := runSoak(t, soak.Config{Seed: cfg.Seed, Class: cfg.Class, Samples: cfg.Samples, Epochs: cfg.Epochs})
-	if reactive.Failed != a.Failed {
-		t.Fatalf("lookahead lost %d samples, reactive lost %d — accounting diverged", a.Failed, reactive.Failed)
+	// The deep-lookahead soak and the default-depth soak fetch through the
+	// same fault schedule, so their loss accounting must agree.
+	shallow := runSoak(t, soak.Config{Seed: cfg.Seed, Class: cfg.Class, Samples: cfg.Samples, Epochs: cfg.Epochs})
+	if shallow.Failed != a.Failed {
+		t.Fatalf("deep lookahead lost %d samples, default depth lost %d — accounting diverged", a.Failed, shallow.Failed)
 	}
 	t.Logf("lookahead=%d digest=%08x compared=%d failed=%d", cfg.Lookahead, a.Digest, a.Compared, a.Failed)
 }

@@ -76,10 +76,9 @@ func main() {
 	planFile := flag.String("plan-file", "", "load a precomputed plan and skip profiling")
 	dumpTrace := flag.String("dump-trace", "", "write the measured stage-2 trace to this file")
 	fetchBatch := flag.Int("fetch-batch", 0, "samples per storage round trip (0 = one)")
-	prefetch := flag.Int("prefetch", 0, "in-flight fetch requests on the session in reactive mode (0 = 2x workers; exclusive with -lookahead)")
-	lookahead := flag.Int("lookahead", 0, "clairvoyant prefetch: round trips kept in flight per shard (0 = reactive mode)")
-	lookaheadHorizon := flag.Int("lookahead-horizon", 0, "max stream positions fetched ahead of consumption (0 = 8 x lookahead x fetch-batch x shards; needs -lookahead)")
-	stagingBytes := flag.Int64("staging-bytes", 0, "soft byte budget for staged prefetched artifacts (0 = unbounded; needs -lookahead)")
+	lookahead := flag.Int("lookahead", 0, "clairvoyant prefetch: round trips kept in flight per shard (0 = 2×workers)")
+	lookaheadHorizon := flag.Int("lookahead-horizon", 0, "max stream positions fetched ahead of consumption (0 = 8 x lookahead x fetch-batch x shards)")
+	stagingBytes := flag.Int64("staging-bytes", 0, "soft byte budget for staged prefetched artifacts (0 = 64 MiB)")
 	maxInFlight := flag.Int("max-inflight", 0, "max concurrent requests the session admits (0 = default 64)")
 	reqTimeout := flag.Duration("request-timeout", 0, "per-request timeout (0 = default 30s, negative = none)")
 	shardAddrs := flag.String("shard-addrs", "", "comma-separated shard server addresses (overrides -addr; enables the fan-out client)")
@@ -89,18 +88,17 @@ func main() {
 	adaptive := flag.Bool("adaptive", false, "adaptive control plane: re-probe the link each epoch and replan on drift (sophon policies only)")
 	driftThreshold := flag.Float64("drift-threshold", 0, "relative change that counts as drift (0 = default 0.2)")
 	driftHysteresis := flag.Int("drift-hysteresis", 0, "consecutive drifted epochs before replanning (0 = default 2)")
-	varianceAware := flag.Bool("variance-aware", false, "variance-aware preprocessing: classify samples heavy/light from the stage-2 profile and run epochs under per-worker work-stealing deques (needs -lookahead)")
+	varianceAware := flag.Bool("variance-aware", false, "variance-aware preprocessing: classify samples heavy/light from the stage-2 profile and run epochs under per-worker work-stealing deques")
 	heavyThreshold := flag.Float64("heavy-threshold", 0, "heavy classification threshold as a multiple of the mean per-sample preprocessing cost (0 = default 4x; needs -variance-aware)")
 	cliutil.Parse("sophon-train", "Profiles, plans, and trains against a running sophon-server under an offload policy.")
 
 	logger := log.New(os.Stderr, "sophon-train: ", log.LstdFlags)
 	cliutil.ValidateInts(logger,
 		map[string]bool{"workers": true, "batch": true, "epochs": true, "attempts": true},
-		map[string]bool{"prefetch": true, "max-inflight": true, "fetch-batch": true, "compute-cores": true, "lookahead": true, "lookahead-horizon": true},
+		map[string]bool{"max-inflight": true, "fetch-batch": true, "compute-cores": true, "lookahead": true, "lookahead-horizon": true},
 		map[string]int{
 			"workers": *workers, "batch": *batch, "epochs": *epochs, "attempts": *attempts,
-			"prefetch": *prefetch, "max-inflight": *maxInFlight,
-			"fetch-batch": *fetchBatch, "compute-cores": *computeCores,
+			"max-inflight": *maxInFlight, "fetch-batch": *fetchBatch, "compute-cores": *computeCores,
 			"lookahead": *lookahead, "lookahead-horizon": *lookaheadHorizon,
 		})
 	if *stagingBytes < 0 {
@@ -112,13 +110,8 @@ func main() {
 	if *heavyThreshold > 0 && !*varianceAware {
 		logger.Fatal("-heavy-threshold needs -variance-aware")
 	}
-	if *varianceAware {
-		if *lookahead <= 0 {
-			logger.Fatal("-variance-aware needs -lookahead: the work-stealing dispatcher rides the clairvoyant stream")
-		}
-		if *planFile != "" {
-			logger.Fatal("-variance-aware needs the profiling path: classification comes from the stage-2 trace, which -plan-file skips")
-		}
+	if *varianceAware && *planFile != "" {
+		logger.Fatal("-variance-aware needs the profiling path: classification comes from the stage-2 trace, which -plan-file skips")
 	}
 
 	model, err := gpu.ByName(*modelName)
@@ -181,7 +174,6 @@ func main() {
 		JobID:            *jobID,
 		Shuffle:          true,
 		FetchBatchSize:   *fetchBatch,
-		PrefetchWindow:   *prefetch,
 		Lookahead:        *lookahead,
 		LookaheadHorizon: *lookaheadHorizon,
 		StagingBytes:     *stagingBytes,

@@ -8,7 +8,7 @@ import (
 	"fmt"
 	"image/color"
 	"io"
-	"sync"
+	"runtime"
 
 	"repro/internal/bufpool"
 )
@@ -48,22 +48,53 @@ func shifts(quality int) (yShift, cShift uint) {
 	}
 }
 
-// Scratch pools for the codec hot path: the DEFLATE coders carry large
-// internal state (tens of KB each) and are reset between uses; the plane and
-// accumulator scratch comes from the bufpool arena.
+// Idle codec state waits in buffered channels (Effective Go's "leaky
+// buffer"), not in sync.Pools. A Pool empties at every other GC, and a value
+// Put on one P sits in that P's private slot, where a Get on another P does
+// not look; either way a steady-state Encode or Decode would sometimes
+// rebuild its DEFLATE state, and allocs/op would depend on GC timing and
+// goroutine migration. A channel keeps what it holds and serves every P.
 var (
-	flateWriterPool = sync.Pool{New: func() any {
-		zw, err := flate.NewWriter(io.Discard, flate.DefaultCompression)
-		if err != nil {
-			panic(err) // DefaultCompression is always a valid level
-		}
-		return zw
-	}}
-	flateReaderPool = sync.Pool{New: func() any {
-		return &pooledReader{br: bytes.NewReader(nil), zr: flate.NewReader(bytes.NewReader(nil))}
-	}}
-	encBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+	encoders = make(chan *encoder, 2*runtime.NumCPU())
+	decoders = make(chan *pooledReader, 2*runtime.NumCPU())
 )
+
+// encoder is the encoders' reusable codec state: the DEFLATE writer (about
+// 1 MB of internal tables), the output buffer, and the plane scratch, which
+// grows to the largest image encoded so far.
+type encoder struct {
+	zw     *flate.Writer
+	buf    bytes.Buffer
+	planes []byte
+}
+
+func getEncoder() *encoder {
+	select {
+	case e := <-encoders:
+		return e
+	default:
+	}
+	zw, err := flate.NewWriter(io.Discard, flate.DefaultCompression)
+	if err != nil {
+		panic(err) // DefaultCompression is always a valid level
+	}
+	return &encoder{zw: zw}
+}
+
+func putEncoder(e *encoder) {
+	select {
+	case encoders <- e:
+	default: // enough idle encoders; let the GC have this one
+	}
+}
+
+// scratch returns the encoder's plane scratch resized to n bytes.
+func (e *encoder) scratch(n int) []byte {
+	if cap(e.planes) < n {
+		e.planes = make([]byte, n)
+	}
+	return e.planes[:n]
+}
 
 // pooledReader bundles a reusable bytes.Reader with a resettable DEFLATE
 // decompressor so Decode performs no per-call codec-state allocation.
@@ -72,17 +103,28 @@ type pooledReader struct {
 	zr io.ReadCloser
 }
 
-func (p *pooledReader) reset(data []byte) {
+// getReader returns an idle decompressor reset to read data.
+func getReader(data []byte) *pooledReader {
+	var p *pooledReader
+	select {
+	case p = <-decoders:
+	default:
+		p = &pooledReader{br: bytes.NewReader(nil), zr: flate.NewReader(bytes.NewReader(nil))}
+	}
 	p.br.Reset(data)
 	// flate.NewReader's concrete type always implements Resetter.
 	p.zr.(flate.Resetter).Reset(p.br, nil)
+	return p
 }
 
-// release drops the reference to the caller's data (so pooling the reader
-// cannot pin a decoded stream in memory) and returns it to the pool.
+// release drops the reference to the caller's data (so keeping the reader
+// cannot pin a decoded stream in memory) and returns it for reuse.
 func (p *pooledReader) release() {
 	p.br.Reset(nil)
-	flateReaderPool.Put(p)
+	select {
+	case decoders <- p:
+	default:
+	}
 }
 
 // Encode compresses im at the given quality (1..100) and returns the SJPG
@@ -94,9 +136,10 @@ func Encode(im *Image, quality int) ([]byte, error) {
 	}
 	yShift, cShift := shifts(quality)
 
+	e := getEncoder()
+	defer putEncoder(e)
 	cw, ch := (im.W+1)/2, (im.H+1)/2
-	planes := bufpool.GetBytes(im.W*im.H + 2*cw*ch)
-	defer bufpool.PutBytes(planes)
+	planes := e.scratch(im.W*im.H + 2*cw*ch)
 	yPlane := planes[:im.W*im.H]
 	cbPlane := planes[im.W*im.H : im.W*im.H+cw*ch]
 	crPlane := planes[im.W*im.H+cw*ch:]
@@ -106,8 +149,7 @@ func Encode(im *Image, quality int) ([]byte, error) {
 	deltaEncode(cbPlane, cw)
 	deltaEncode(crPlane, cw)
 
-	buf := encBufPool.Get().(*bytes.Buffer)
-	defer encBufPool.Put(buf)
+	buf := &e.buf
 	buf.Reset()
 	buf.WriteString(sjpgMagic)
 	buf.WriteByte(sjpgVersion)
@@ -117,8 +159,7 @@ func Encode(im *Image, quality int) ([]byte, error) {
 	binary.BigEndian.PutUint32(dims[4:8], uint32(im.H))
 	buf.Write(dims[:])
 
-	zw := flateWriterPool.Get().(*flate.Writer)
-	defer flateWriterPool.Put(zw)
+	zw := e.zw
 	zw.Reset(buf)
 	if _, err := zw.Write(planes); err != nil {
 		return nil, fmt.Errorf("imaging: compress planes: %w", err)
@@ -131,36 +172,27 @@ func Encode(im *Image, quality int) ([]byte, error) {
 
 // fillPlanes computes the SJPG-quantized Y/Cb/Cr planes for im: luma per
 // pixel shifted by yShift, chroma 2x2-box-averaged then shifted by cShift.
-// The plane slices must be sized W*H, cw*ch, cw*ch respectively.
+// It walks the image one chroma cell at a time, so each pixel is converted
+// once and the box sums stay in registers. The plane slices must be sized
+// W*H, cw*ch, cw*ch respectively.
 func fillPlanes(im *Image, yShift, cShift uint, yPlane, cbPlane, crPlane []uint8) {
 	cw, ch := (im.W+1)/2, (im.H+1)/2
-	sums := bufpool.GetUint32(3 * cw * ch)
-	defer bufpool.PutUint32(sums)
-	cbSum := sums[:cw*ch]
-	crSum := sums[cw*ch : 2*cw*ch]
-	cnt := sums[2*cw*ch:]
-	for i := range sums {
-		sums[i] = 0
-	}
-
-	for y := 0; y < im.H; y++ {
-		for x := 0; x < im.W; x++ {
-			r, g, b := im.At(x, y)
-			yy, cb, cr := color.RGBToYCbCr(r, g, b)
-			yPlane[y*im.W+x] = yy >> yShift
-			ci := (y/2)*cw + x/2
-			cbSum[ci] += uint32(cb)
-			crSum[ci] += uint32(cr)
-			cnt[ci]++
+	for cy := 0; cy < ch; cy++ {
+		for cx := 0; cx < cw; cx++ {
+			var cbSum, crSum, n uint32
+			for y := 2 * cy; y < min(2*cy+2, im.H); y++ {
+				for x := 2 * cx; x < min(2*cx+2, im.W); x++ {
+					r, g, b := im.At(x, y)
+					yy, cb, cr := color.RGBToYCbCr(r, g, b)
+					yPlane[y*im.W+x] = yy >> yShift
+					cbSum += uint32(cb)
+					crSum += uint32(cr)
+					n++
+				}
+			}
+			cbPlane[cy*cw+cx] = uint8(cbSum/n) >> cShift
+			crPlane[cy*cw+cx] = uint8(crSum/n) >> cShift
 		}
-	}
-	for i := range cbPlane {
-		n := cnt[i]
-		if n == 0 {
-			continue
-		}
-		cbPlane[i] = uint8(cbSum[i]/n) >> cShift
-		crPlane[i] = uint8(crSum[i]/n) >> cShift
 	}
 }
 
@@ -182,9 +214,8 @@ func Decode(data []byte) (*Image, error) {
 	total := w*h + 2*cw*chh
 	planes := bufpool.GetBytes(total)
 	defer bufpool.PutBytes(planes)
-	pr := flateReaderPool.Get().(*pooledReader)
+	pr := getReader(data[headerSize:])
 	defer pr.release()
-	pr.reset(data[headerSize:])
 	zr := pr.zr
 	if _, err := io.ReadFull(zr, planes); err != nil {
 		return nil, fmt.Errorf("%w: decompress: %v", ErrCorrupt, err)

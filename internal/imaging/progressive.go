@@ -1,8 +1,6 @@
 package imaging
 
 import (
-	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -93,12 +91,13 @@ func EncodeProgressiveSidecar(im *Image, quality, scans int, sidecar []byte) ([]
 	}
 	yShift, cShift := shifts(quality)
 
+	e := getEncoder()
+	defer putEncoder(e)
 	cw, ch := (im.W+1)/2, (im.H+1)/2
 	total := im.W*im.H + 2*cw*ch
 	// planes holds the SJPG-quantized values; scratch is re-filled per scan
 	// with that scan's payload (shifted base or refinement bits).
-	planes := bufpool.GetBytes(2 * total)
-	defer bufpool.PutBytes(planes)
+	planes := e.scratch(2 * total)
 	scratch := planes[total:]
 	planes = planes[:total]
 	yPlane := planes[:im.W*im.H]
@@ -106,11 +105,9 @@ func EncodeProgressiveSidecar(im *Image, quality, scans int, sidecar []byte) ([]
 	crPlane := planes[im.W*im.H+cw*ch:]
 	fillPlanes(im, yShift, cShift, yPlane, cbPlane, crPlane)
 
-	body := encBufPool.Get().(*bytes.Buffer)
-	defer encBufPool.Put(body)
+	body := &e.buf
 	body.Reset()
-	zw := flateWriterPool.Get().(*flate.Writer)
-	defer flateWriterPool.Put(zw)
+	zw := e.zw
 
 	lens := make([]int, scans)
 	crcs := make([]uint32, scans)
@@ -385,9 +382,8 @@ func decodeScans(data []byte, hd *sjprHeader, k int) (*Image, error) {
 // inflateExact decompresses payload into dst, requiring the stream to yield
 // exactly len(dst) bytes with nothing trailing.
 func inflateExact(payload, dst []byte) error {
-	pr := flateReaderPool.Get().(*pooledReader)
+	pr := getReader(payload)
 	defer pr.release()
-	pr.reset(payload)
 	if _, err := io.ReadFull(pr.zr, dst); err != nil {
 		return fmt.Errorf("decompress: %v", err)
 	}

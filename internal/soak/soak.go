@@ -69,9 +69,9 @@ type Config struct {
 	Samples int   // dataset size (0 → 48)
 	Shards  int   // storage shards (0 → 2)
 	Epochs  int   // trainer epochs (0 → 3)
-	// Lookahead selects the trainer's clairvoyant prefetch scheduler with
-	// this per-shard depth; 0 keeps the legacy reactive window. Soaking with
-	// a deep lookahead proves the recovery invariants hold while many
+	// Lookahead is the per-shard depth of the trainer's clairvoyant
+	// prefetch scheduler; 0 means the trainer default (2×workers). Soaking
+	// with a deep lookahead proves the recovery invariants hold while many
 	// speculative fetches are in flight against a faulty fabric.
 	Lookahead int
 	// MixFlip runs the epochs under the variance-aware work-stealing

@@ -1,7 +1,8 @@
 package trainsim
 
 import (
-	"errors"
+	"context"
+	"sync"
 	"testing"
 	"time"
 
@@ -18,94 +19,193 @@ import (
 
 func TestLookaheadConfigValidation(t *testing.T) {
 	h := newHarness(t, 4, 1)
-	ledger, err := cache.NewStaging(1 << 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := []struct {
+	for _, tc := range []struct {
 		name string
 		mut  func(*Config)
 	}{
-		{"window+lookahead", func(c *Config) { c.PrefetchWindow = 8; c.Lookahead = 4 }},
-		{"horizon without lookahead", func(c *Config) { c.LookaheadHorizon = 64 }},
-		{"staging without lookahead", func(c *Config) { c.StagingBytes = 1 << 20 }},
-		{"ledger without lookahead", func(c *Config) { c.StagingLedger = ledger }},
-	}
-	for _, tc := range cases {
+		{"negative lookahead", func(c *Config) { c.Lookahead = -1 }},
+		{"negative horizon", func(c *Config) { c.LookaheadHorizon = -1 }},
+	} {
 		cfg := h.config()
 		tc.mut(&cfg)
-		if _, err := New(cfg); !errors.Is(err, ErrPrefetchConfig) {
-			t.Errorf("%s: err = %v, want ErrPrefetchConfig", tc.name, err)
+		if _, err := New(cfg); err == nil {
+			t.Errorf("%s: accepted", tc.name)
 		}
 	}
 
-	// Legacy semantics preserved: window 0 still means 2×Workers reactive.
+	// Lookahead 0 means 2×Workers round trips per shard, the depth the
+	// scheduler runs at when no knob is set.
 	cfg := h.config()
 	tr, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tr.Close()
-	if tr.cfg.PrefetchWindow != 2*cfg.Workers {
-		t.Fatalf("reactive default window %d, want %d", tr.cfg.PrefetchWindow, 2*cfg.Workers)
+	if tr.cfg.Lookahead != 2*cfg.Workers {
+		t.Fatalf("default lookahead %d, want %d", tr.cfg.Lookahead, 2*cfg.Workers)
 	}
-	// And lookahead mode leaves the window alone (no silent 2×Workers).
+	if tr.cfg.StagingBytes != DefaultStagingBytes {
+		t.Fatalf("staging default %d, want %d", tr.cfg.StagingBytes, DefaultStagingBytes)
+	}
+	// The staging knobs are plain tunables: no Lookahead needed.
+	ledger, err := cache.NewStaging(1 << 20)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg2 := h.config()
-	cfg2.Lookahead = 4
+	cfg2.LookaheadHorizon, cfg2.StagingBytes, cfg2.StagingLedger = 64, 1<<20, ledger
 	tr2, err := New(cfg2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer tr2.Close()
-	if tr2.cfg.PrefetchWindow != 0 {
-		t.Fatalf("lookahead mode defaulted the reactive window to %d", tr2.cfg.PrefetchWindow)
+	tr2.Close()
+}
+
+// tensorRecorder wraps the trainer's session and keeps a wire-encoded copy
+// of the artifact it delivers for each watched sample, so a test can check
+// what the loader trained on against pipeline.Run over the raw object —
+// an oracle that does not depend on how the loader schedules its fetches.
+type tensorRecorder struct {
+	StorageClient
+	watch map[uint32]bool
+	mu    sync.Mutex
+	got   map[uint32]recordedArtifact
+}
+
+type recordedArtifact struct {
+	split int
+	enc   []byte
+}
+
+func newTensorRecorder(c StorageClient, samples ...uint32) *tensorRecorder {
+	r := &tensorRecorder{StorageClient: c, watch: map[uint32]bool{}, got: map[uint32]recordedArtifact{}}
+	for _, s := range samples {
+		r.watch[s] = true
 	}
-	if tr2.cfg.StagingBytes != DefaultStagingBytes {
-		t.Fatalf("staging default %d, want %d", tr2.cfg.StagingBytes, DefaultStagingBytes)
+	return r
+}
+
+func (r *tensorRecorder) keep(res ...storage.FetchResult) {
+	for _, x := range res {
+		if x.Err != nil || !r.watch[x.Sample] {
+			continue
+		}
+		enc, err := x.Artifact.Encode()
+		if err != nil {
+			continue // check reports the sample as never delivered
+		}
+		r.mu.Lock()
+		r.got[x.Sample] = recordedArtifact{split: x.Split, enc: enc}
+		r.mu.Unlock()
+	}
+}
+
+func (r *tensorRecorder) Fetch(ctx context.Context, sample uint32, split int, epoch uint64) (storage.FetchResult, error) {
+	res, err := r.StorageClient.Fetch(ctx, sample, split, epoch)
+	if err == nil {
+		r.keep(res)
+	}
+	return res, err
+}
+
+func (r *tensorRecorder) FetchBatch(ctx context.Context, samples []uint32, splits []int, epoch uint64) ([]storage.FetchResult, error) {
+	res, err := r.StorageClient.FetchBatch(ctx, samples, splits, epoch)
+	if err == nil {
+		r.keep(res...)
+	}
+	return res, err
+}
+
+func (r *tensorRecorder) FetchShard(ctx context.Context, shard int, samples []uint32, splits []int, epoch uint64) ([]storage.FetchResult, error) {
+	res, err := r.StorageClient.FetchShard(ctx, shard, samples, splits, epoch)
+	if err == nil {
+		r.keep(res...)
+	}
+	return res, err
+}
+
+// check finishes every watched sample's recorded artifact locally and
+// requires the tensor to be bit-identical to the full pipeline run over the
+// stored raw object.
+func (r *tensorRecorder) check(t *testing.T, pipe *pipeline.Pipeline, store *storage.Store, job, epoch uint64) {
+	t.Helper()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for s := range r.watch {
+		rec, ok := r.got[s]
+		if !ok {
+			t.Errorf("sample %d never delivered", s)
+			continue
+		}
+		seed := pipeline.Seed{Job: job, Epoch: epoch, Sample: uint64(s)}
+		a, err := pipeline.DecodeArtifact(rec.enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := pipe.RunRange(a, rec.split, pipe.Len(), seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := store.Get(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := pipe.Run(raw, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equal(want) {
+			t.Errorf("sample %d (split %d): tensor differs from pipeline.Run on the raw object", s, rec.split)
+		}
 	}
 }
 
 // TestLookaheadEpochSingleServer: lookahead over a plain (non-sharded)
 // client falls back to single-link scheduling and still trains the full
-// epoch, byte-for-byte equal to the reactive run.
+// epoch: every sample once, each served once, tensors bit-identical to the
+// unsplit pipeline.
 func TestLookaheadEpochSingleServer(t *testing.T) {
-	h := newHarness(t, 32, 4)
-
-	rcfg := h.config()
-	rcfg.FetchBatchSize = 4
-	reactive, err := New(rcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer reactive.Close()
-	r1, err := reactive.RunEpoch(1, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	const n = 32
+	h := newHarness(t, n, 4)
 
 	cfg := h.config()
 	cfg.Lookahead = 3
 	cfg.FetchBatchSize = 4
+	var rec *tensorRecorder
+	inner := cfg.DialClient
+	cfg.DialClient = func() (StorageClient, error) {
+		c, err := inner()
+		if err != nil {
+			return nil, err
+		}
+		rec = newTensorRecorder(c, 0, 5, 17, 31)
+		return rec, nil
+	}
 	la, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer la.Close()
-	r2, err := la.RunEpoch(1, nil, nil)
+	r, err := la.RunEpoch(1, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r2.Samples != r1.Samples || r2.BytesFetched != r1.BytesFetched {
-		t.Fatalf("lookahead epoch (samples %d, bytes %d) != reactive (samples %d, bytes %d)",
-			r2.Samples, r2.BytesFetched, r1.Samples, r1.BytesFetched)
+	if r.Samples != n || r.Offloaded != 0 {
+		t.Fatalf("epoch trained %d samples (%d offloaded), want %d raw", r.Samples, r.Offloaded, n)
 	}
+	if served := h.server.Counters().SamplesServed.Load(); served != n {
+		t.Fatalf("server served %d samples, want %d", served, n)
+	}
+	rec.check(t, h.pipe, h.store, cfg.JobID, 1)
 	snap := la.PrefetchMetrics().Snapshot()
-	if snap.Completed != int64(r2.Samples) || snap.Raw != int64(r2.Samples) {
-		t.Fatalf("prefetch counters %+v for %d raw samples", snap, r2.Samples)
+	if snap.Completed != int64(r.Samples) || snap.Raw != int64(r.Samples) {
+		t.Fatalf("prefetch counters %+v for %d raw samples", snap, r.Samples)
 	}
 }
 
-func lookaheadCluster(t testing.TB, n, shards int, plan *chaos.Plan) (*cluster.Cluster, Config) {
+// lookaheadStore is the synthetic dataset behind lookaheadCluster; it is
+// deterministic, so a test can rebuild it to read the raw objects.
+func lookaheadStore(t testing.TB, n int) *storage.Store {
 	t.Helper()
 	set, err := dataset.NewSyntheticImageSet(dataset.SyntheticOptions{
 		Name: "lookahead", N: n, Seed: 13, MinDim: 48, MaxDim: 128,
@@ -117,6 +217,12 @@ func lookaheadCluster(t testing.TB, n, shards int, plan *chaos.Plan) (*cluster.C
 	if err != nil {
 		t.Fatal(err)
 	}
+	return store
+}
+
+func lookaheadCluster(t testing.TB, n, shards int, plan *chaos.Plan) (*cluster.Cluster, Config) {
+	t.Helper()
+	store := lookaheadStore(t, n)
 	pipe := pipeline.Standard(pipeline.StandardOptions{CropSize: 32, FlipP: -1})
 	c, err := cluster.Launch(cluster.Config{
 		Shards:        shards,
@@ -146,55 +252,51 @@ func lookaheadCluster(t testing.TB, n, shards int, plan *chaos.Plan) (*cluster.C
 	return c, cfg
 }
 
-// TestLookaheadShardedMatchesReactive drives both fetch modes over the same
-// 3-shard tier with an offloading plan: per-shard issue queues must deliver
-// exactly the reactive pipeline's training outcome (same samples, offload
-// count, and wire bytes — artifact sizes are deterministic).
-func TestLookaheadShardedMatchesReactive(t *testing.T) {
+// TestLookaheadShardedMatchesOracles drives the scheduler over a 3-shard
+// tier with an offloading plan and checks the epoch against oracles that do
+// not depend on the loader: every sample trained and served exactly once,
+// the plan's offload count, and tensors bit-identical to pipeline.Run.
+func TestLookaheadShardedMatchesOracles(t *testing.T) {
 	const n = 48
-	_, cfg := lookaheadCluster(t, n, 3, nil)
+	c, cfg := lookaheadCluster(t, n, 3, nil)
 	plan, err := policy.NewUniformPlan("half", n, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	reactive, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
+	cfg.Lookahead = 4
+	var rec *tensorRecorder
+	inner := cfg.DialClient
+	cfg.DialClient = func() (StorageClient, error) {
+		sc, err := inner()
+		if err != nil {
+			return nil, err
+		}
+		rec = newTensorRecorder(sc, 1, 12, 30, 47)
+		return rec, nil
 	}
-	defer reactive.Close()
-	r1, err := reactive.RunEpoch(1, plan, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	cfgLA := cfg
-	cfgLA.Lookahead = 4
-	la, err := New(cfgLA)
+	la, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer la.Close()
-	r2, err := la.RunEpoch(1, plan, nil)
+	r, err := la.RunEpoch(1, plan, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r1.Samples != n || r2.Samples != n {
-		t.Fatalf("samples %d/%d, want %d", r1.Samples, r2.Samples, n)
+	if r.Samples != n || r.Failed != 0 {
+		t.Fatalf("samples %d (failed %d), want %d", r.Samples, r.Failed, n)
 	}
-	if r2.Offloaded != r1.Offloaded {
-		t.Fatalf("lookahead offloaded %d != reactive %d", r2.Offloaded, r1.Offloaded)
+	if want := plan.OffloadedCount(); r.Offloaded != want {
+		t.Fatalf("offloaded %d, want the plan's %d", r.Offloaded, want)
 	}
-	// Same artifacts, but per-shard sub-batches amortize response-frame
-	// overhead over full batches where the reactive fan-out splits each
-	// global chunk into shard fragments — lookahead must never ship MORE
-	// bytes, and the payload difference stays within the per-trip overhead.
-	if r2.BytesFetched > r1.BytesFetched {
-		t.Fatalf("lookahead shipped %d bytes > reactive %d", r2.BytesFetched, r1.BytesFetched)
+	var served uint64
+	for _, ctr := range c.Counters() {
+		served += ctr.SamplesServed.Load()
 	}
-	if r1.BytesFetched-r2.BytesFetched > int64(n)*64 {
-		t.Fatalf("byte gap %d too large for overhead alone", r1.BytesFetched-r2.BytesFetched)
+	if served != n {
+		t.Fatalf("shards served %d samples, want %d", served, n)
 	}
+	rec.check(t, cfg.Pipeline, lookaheadStore(t, n), cfg.JobID, 1)
 	snap := la.PrefetchMetrics().Snapshot()
 	if snap.Offloaded != int64(n) {
 		t.Fatalf("prefetch tier accounting %+v, want %d offloaded", snap, n)

@@ -20,24 +20,14 @@ func TestPrepschedConfigValidation(t *testing.T) {
 		name string
 		mut  func(*Config)
 	}{
-		{"variance-aware without lookahead", func(c *Config) {
-			c.VarianceAware = true
-			c.Classify = classify
-		}},
 		{"variance-aware without classify", func(c *Config) {
-			c.Lookahead = 4
 			c.VarianceAware = true
 		}},
 		{"classify without variance-aware", func(c *Config) {
-			c.Lookahead = 4
 			c.Classify = classify
 		}},
 		{"prep metrics without variance-aware", func(c *Config) {
-			c.Lookahead = 4
 			c.PrepMetrics = &prepsched.Metrics{}
-		}},
-		{"classify alone reactive", func(c *Config) {
-			c.Classify = classify
 		}},
 	}
 	for _, tc := range cases {
@@ -48,10 +38,10 @@ func TestPrepschedConfigValidation(t *testing.T) {
 		}
 	}
 
-	// The valid combination constructs, and a private Metrics is wired when
-	// none is supplied.
+	// The valid combination constructs at the default lookahead depth
+	// (0 means 2×Workers), and a private Metrics is wired when none is
+	// supplied.
 	cfg := h.config()
-	cfg.Lookahead = 4
 	cfg.VarianceAware = true
 	cfg.Classify = classify
 	tr, err := New(cfg)
@@ -59,6 +49,9 @@ func TestPrepschedConfigValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tr.Close()
+	if tr.cfg.Lookahead != 2*cfg.Workers {
+		t.Fatalf("variance-aware default lookahead %d, want %d", tr.cfg.Lookahead, 2*cfg.Workers)
+	}
 	if tr.PrepMetrics() == nil {
 		t.Fatal("no private prepsched metrics wired")
 	}

@@ -40,31 +40,22 @@ type Config struct {
 	DialClient func() (StorageClient, error)
 	// Workers is the local preprocessing parallelism; 0 means 4.
 	Workers int
-	// PrefetchWindow bounds concurrently in-flight fetch requests on the
-	// session in the legacy reactive mode (Lookahead == 0); 0 keeps meaning
-	// 2×Workers there. It is a reactive-mode knob only: setting it together
-	// with Lookahead is rejected with ErrPrefetchConfig, because the
-	// clairvoyant scheduler replaces the globally-ordered window with
-	// per-shard depth targets and a window bound would silently mean
-	// nothing.
-	PrefetchWindow int
-	// Lookahead switches the fetch stage to the clairvoyant scheduler
+	// Lookahead is the depth of the clairvoyant fetch stage
 	// (internal/prefetch): the epoch's exact access stream is derived from
 	// the seeded shuffle, partitioned per shard, and fetched ahead of
-	// consumption with this many concurrent round trips per shard. 0 keeps
-	// the legacy reactive window.
+	// consumption with this many concurrent round trips per shard. 0 means
+	// 2×Workers.
 	Lookahead int
 	// LookaheadHorizon bounds how many stream positions ahead of
 	// consumption the scheduler may issue (the reorder-buffer depth);
-	// 0 means 8 × Lookahead × fetch-batch × shards. Lookahead-mode only.
+	// 0 means 8 × Lookahead × fetch-batch × shards.
 	LookaheadHorizon int
 	// StagingBytes budgets the artifacts fetched but not yet consumed;
 	// 0 means DefaultStagingBytes, negative means unbounded.
-	// Lookahead-mode only.
 	StagingBytes int64
 	// StagingLedger, when non-nil, additionally charges staged bytes to an
 	// external accountant (cache.Staging) — share one across trainers to
-	// bound their combined staging footprint. Lookahead-mode only.
+	// bound their combined staging footprint.
 	StagingLedger prefetch.Ledger
 	// PrefetchMetrics receives the scheduler's instrumentation (the
 	// monitor's sophon_prefetch_* block); nil means a private Metrics,
@@ -77,7 +68,7 @@ type Config struct {
 	// ones instead of queueing behind them. Output artifacts stay
 	// bit-identical to FIFO scheduling — preprocessing is deterministic in
 	// (job, epoch, sample) per cut, so only completion timing changes.
-	// Requires Lookahead > 0 and a Classify function.
+	// Requires a Classify function.
 	VarianceAware bool
 	// Classify maps a sample index to its preprocessing class, typically a
 	// prepsched.Classifier closure over the stage-2 cost trace.
@@ -121,15 +112,9 @@ type Config struct {
 // StagingBytes zero.
 const DefaultStagingBytes = 64 << 20
 
-// ErrPrefetchConfig reports conflicting prefetch knobs: the legacy reactive
-// window and the clairvoyant lookahead are mutually exclusive modes, and
-// lookahead-only knobs require Lookahead > 0.
-var ErrPrefetchConfig = errors.New("trainsim: conflicting prefetch config")
-
 // ErrPrepschedConfig reports conflicting variance-aware scheduler knobs:
-// VarianceAware requires the lookahead stream (the dispatcher classifies
-// entries in stream order) and a Classify function, and the prepsched-only
-// knobs require VarianceAware.
+// VarianceAware requires a Classify function, and the prepsched-only knobs
+// require VarianceAware.
 var ErrPrepschedConfig = errors.New("trainsim: conflicting prepsched config")
 
 // Trainer runs training epochs against a storage server.
@@ -207,29 +192,11 @@ func New(cfg Config) (*Trainer, error) {
 	if cfg.FetchBatchSize > wire.MaxBatchItems {
 		cfg.FetchBatchSize = wire.MaxBatchItems
 	}
-	if cfg.PrefetchWindow < 0 {
-		return nil, fmt.Errorf("trainsim: prefetch window %d", cfg.PrefetchWindow)
-	}
 	if cfg.Lookahead < 0 {
 		return nil, fmt.Errorf("trainsim: lookahead %d", cfg.Lookahead)
 	}
-	if cfg.Lookahead > 0 && cfg.PrefetchWindow > 0 {
-		return nil, fmt.Errorf("%w: PrefetchWindow %d with Lookahead %d (the reactive window and the clairvoyant scheduler are exclusive modes)",
-			ErrPrefetchConfig, cfg.PrefetchWindow, cfg.Lookahead)
-	}
 	if cfg.Lookahead == 0 {
-		switch {
-		case cfg.LookaheadHorizon != 0:
-			return nil, fmt.Errorf("%w: LookaheadHorizon %d without Lookahead", ErrPrefetchConfig, cfg.LookaheadHorizon)
-		case cfg.StagingBytes != 0:
-			return nil, fmt.Errorf("%w: StagingBytes %d without Lookahead", ErrPrefetchConfig, cfg.StagingBytes)
-		case cfg.StagingLedger != nil:
-			return nil, fmt.Errorf("%w: StagingLedger without Lookahead", ErrPrefetchConfig)
-		}
-		// Legacy reactive default, unchanged: 0 means 2×Workers.
-		if cfg.PrefetchWindow == 0 {
-			cfg.PrefetchWindow = 2 * cfg.Workers
-		}
+		cfg.Lookahead = 2 * cfg.Workers
 	}
 	if cfg.LookaheadHorizon < 0 {
 		return nil, fmt.Errorf("trainsim: lookahead horizon %d", cfg.LookaheadHorizon)
@@ -238,9 +205,6 @@ func New(cfg Config) (*Trainer, error) {
 		cfg.StagingBytes = DefaultStagingBytes
 	}
 	if cfg.VarianceAware {
-		if cfg.Lookahead == 0 {
-			return nil, fmt.Errorf("%w: VarianceAware without Lookahead (the dispatcher classifies the clairvoyant stream)", ErrPrepschedConfig)
-		}
 		if cfg.Classify == nil {
 			return nil, fmt.Errorf("%w: VarianceAware without a Classify function", ErrPrepschedConfig)
 		}
@@ -295,8 +259,7 @@ func (t *Trainer) order(epoch uint64) []int {
 	return prefetch.Order(t.cfg.JobID, epoch, t.n, t.cfg.Shuffle)
 }
 
-// PrefetchMetrics exposes the lookahead scheduler's counters (zero-valued
-// while running reactive).
+// PrefetchMetrics exposes the lookahead scheduler's counters.
 func (t *Trainer) PrefetchMetrics() *prefetch.Metrics { return t.pf }
 
 // PrepMetrics exposes the variance-aware scheduler's counters (zero-valued
@@ -338,7 +301,7 @@ type sampleOutcome struct {
 // paper's stage-2 "first epoch without offloading".
 //
 // The epoch runs as a two-stage pipeline over the shared storage session:
-// PrefetchWindow fetcher goroutines keep up to that many requests in flight
+// the clairvoyant scheduler keeps Lookahead round trips in flight per shard
 // (the session demultiplexes responses), and Workers processor goroutines
 // finish preprocessing locally under the compute-core budget. A failure
 // cancels the epoch's context, which unblocks in-flight fetches promptly
@@ -377,15 +340,11 @@ func (t *Trainer) runEpoch(epoch uint64, plan *policy.Plan, version policy.PlanV
 	order := t.order(epoch)
 	results := make(chan sampleOutcome, t.cfg.BatchSize*2)
 	computeSem := make(chan struct{}, t.cfg.ComputeCores)
-	if t.cfg.Lookahead > 0 {
-		stop, err := t.startLookahead(ctx, cancel, epoch, order, plan, collector, results, computeSem)
-		if err != nil {
-			return EpochReport{}, err
-		}
-		defer stop()
-	} else {
-		t.startReactive(ctx, cancel, epoch, order, plan, collector, results, computeSem)
+	stop, err := t.startLookahead(ctx, cancel, epoch, order, plan, collector, results, computeSem)
+	if err != nil {
+		return EpochReport{}, err
 	}
+	defer stop()
 
 	report := EpochReport{Epoch: epoch, PlanVersion: version}
 	inBatch := 0
@@ -436,80 +395,6 @@ func (t *Trainer) runEpoch(epoch uint64, plan *policy.Plan, version policy.PlanV
 		t.cfg.Metrics.Counter("trainer.epochs").Inc()
 	}
 	return report, nil
-}
-
-// startReactive runs the legacy two-stage pipeline: PrefetchWindow fetcher
-// goroutines pull globally-ordered chunks and Workers processors finish them
-// locally. The goroutines close results when the epoch drains.
-func (t *Trainer) startReactive(ctx context.Context, cancel context.CancelFunc, epoch uint64, order []int, plan *policy.Plan, collector *profiler.Collector, results chan<- sampleOutcome, computeSem chan struct{}) {
-	chunkSize := 1
-	if t.cfg.FetchBatchSize > 1 {
-		chunkSize = t.cfg.FetchBatchSize
-	}
-	chunks := make(chan []int, len(order)/chunkSize+1)
-	for start := 0; start < len(order); start += chunkSize {
-		end := start + chunkSize
-		if end > len(order) {
-			end = len(order)
-		}
-		chunks <- order[start:end]
-	}
-	close(chunks)
-
-	// Stage 1: fetchers keep the link full. Each goroutine holds at most
-	// one chunk request in flight, so the window bounds session occupancy.
-	fetched := make(chan fetchedChunk, t.cfg.PrefetchWindow)
-	var fwg sync.WaitGroup
-	for f := 0; f < t.cfg.PrefetchWindow; f++ {
-		fwg.Add(1)
-		go func() {
-			defer fwg.Done()
-			for chunk := range chunks {
-				if ctx.Err() != nil {
-					return
-				}
-				fc := t.fetchChunk(ctx, epoch, chunk, plan, collector)
-				select {
-				case fetched <- fc:
-				case <-ctx.Done():
-					return
-				}
-			}
-		}()
-	}
-	go func() {
-		fwg.Wait()
-		close(fetched)
-	}()
-
-	// Stage 2: processors finish samples locally. After a cancel they keep
-	// draining `fetched` without working, so fetchers never block.
-	var pwg sync.WaitGroup
-	for w := 0; w < t.cfg.Workers; w++ {
-		pwg.Add(1)
-		go func() {
-			defer pwg.Done()
-			for fc := range fetched {
-				if ctx.Err() != nil {
-					continue
-				}
-				for _, out := range t.processFetched(ctx, fc, epoch, collector, computeSem) {
-					select {
-					case results <- out:
-					case <-ctx.Done():
-					}
-					if out.err != nil {
-						cancel()
-						break
-					}
-				}
-			}
-		}()
-	}
-	go func() {
-		pwg.Wait()
-		close(results)
-	}()
 }
 
 // startLookahead runs the clairvoyant fetch stage: a prefetch.Scheduler
@@ -708,9 +593,10 @@ func (t *Trainer) startVarianceAware(ctx context.Context, cancel context.CancelF
 	}
 }
 
-// processItem finishes one delivered stream entry locally, with the same
-// degraded-mode semantics as the reactive path: a failed fetch skips just
-// that sample when DegradedMode is on, and aborts the epoch otherwise.
+// processItem finishes one delivered stream entry locally. A failed fetch
+// (a per-item error, or every entry of a round trip that failed as a whole)
+// skips just that sample when DegradedMode is on, so a dead shard costs
+// exactly its own samples; otherwise it aborts the epoch.
 func (t *Trainer) processItem(it prefetch.Item, epoch uint64, collector *profiler.Collector, computeSem chan struct{}) sampleOutcome {
 	if it.Err != nil {
 		if t.cfg.DegradedMode {
@@ -728,16 +614,6 @@ func (t *Trainer) gpuStep(report *EpochReport, size int) {
 	report.Batches++
 }
 
-// splitFor returns the fetch directive for sample i this epoch: the
-// server-side prefix length, with the plan's fidelity drop packed alongside
-// for raw samples (see storage.PackDirective).
-func (t *Trainer) splitFor(i int, plan *policy.Plan, collector *profiler.Collector) int {
-	if collector != nil || plan == nil {
-		return 0
-	}
-	return directiveFor(plan, i)
-}
-
 // directiveFor packs one sample's plan decision into a fetch directive.
 // Fidelity only exists on the raw object — offloaded cuts ship artifacts
 // with no scan structure, so their directive is the bare split.
@@ -747,91 +623,6 @@ func directiveFor(plan *policy.Plan, i int) int {
 		return s
 	}
 	return storage.PackDirective(0, plan.FidelityOf(i))
-}
-
-// fetchedChunk carries one chunk's fetch results from the fetch stage to
-// the preprocessing stage.
-type fetchedChunk struct {
-	chunk  []int
-	splits []int
-	items  []storage.FetchResult
-	err    error // transport-level failure for the whole chunk
-}
-
-// fetchChunk issues one round trip for the chunk (a single Fetch, or a
-// FetchBatch when batching is enabled) over the shared session.
-func (t *Trainer) fetchChunk(ctx context.Context, epoch uint64, chunk []int, plan *policy.Plan, collector *profiler.Collector) fetchedChunk {
-	fc := fetchedChunk{chunk: chunk, splits: make([]int, len(chunk))}
-	for k, i := range chunk {
-		fc.splits[k] = t.splitFor(i, plan, collector)
-	}
-	fetchStart := time.Now()
-	if len(chunk) == 1 {
-		res, err := t.client.Fetch(ctx, uint32(chunk[0]), fc.splits[0], epoch)
-		if err != nil {
-			fc.err = fmt.Errorf("trainsim: fetch sample %d: %w", chunk[0], err)
-			return fc
-		}
-		t.observeFetch(time.Since(fetchStart), 1, res.WireBytes)
-		fc.items = []storage.FetchResult{res}
-		return fc
-	}
-	samples := make([]uint32, len(chunk))
-	for k, i := range chunk {
-		samples[k] = uint32(i)
-	}
-	items, err := t.client.FetchBatch(ctx, samples, fc.splits, epoch)
-	if err != nil {
-		fc.err = fmt.Errorf("trainsim: batch fetch: %w", err)
-		return fc
-	}
-	var batchBytes int
-	for _, res := range items {
-		batchBytes += res.WireBytes
-	}
-	t.observeFetch(time.Since(fetchStart), len(items), batchBytes)
-	fc.items = items
-	return fc
-}
-
-// processFetched finishes each sample of a fetched chunk locally. A
-// per-item fetch error (surfaced in FetchResult.Err after the retry layer
-// gave up) fails that sample; processing stops at the first failure. In
-// DegradedMode failures instead skip just the affected samples — a chunk
-// whose whole round trip failed marks every one of its samples failed, and
-// a per-item error marks only that sample — so a dead shard costs exactly
-// its own samples, never the epoch.
-func (t *Trainer) processFetched(ctx context.Context, fc fetchedChunk, epoch uint64, collector *profiler.Collector, computeSem chan struct{}) []sampleOutcome {
-	if fc.err != nil {
-		if t.cfg.DegradedMode {
-			outs := make([]sampleOutcome, len(fc.chunk))
-			for k := range outs {
-				outs[k] = sampleOutcome{failed: true}
-			}
-			return outs
-		}
-		return []sampleOutcome{{err: fc.err}}
-	}
-	outs := make([]sampleOutcome, 0, len(fc.chunk))
-	for k, i := range fc.chunk {
-		if ctx.Err() != nil {
-			return outs
-		}
-		res := fc.items[k]
-		if res.Err != nil {
-			if t.cfg.DegradedMode {
-				outs = append(outs, sampleOutcome{failed: true})
-				continue
-			}
-			return append(outs, sampleOutcome{err: fmt.Errorf("trainsim: fetch sample %d: %w", i, res.Err)})
-		}
-		out := t.finishSample(res, epoch, i, fc.splits[k], collector, computeSem)
-		outs = append(outs, out)
-		if out.err != nil {
-			return outs
-		}
-	}
-	return outs
 }
 
 // observeFetch records fetch instrumentation when a registry is attached.

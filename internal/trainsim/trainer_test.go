@@ -18,6 +18,7 @@ import (
 type harness struct {
 	listener *netsim.PipeListener
 	server   *storage.Server
+	store    *storage.Store
 	pipe     *pipeline.Pipeline
 	n        int
 }
@@ -42,7 +43,7 @@ func newHarness(t testing.TB, n, serverCores int) *harness {
 	l := netsim.NewPipeListener()
 	go srv.Serve(l)
 	t.Cleanup(func() { srv.Close() })
-	return &harness{listener: l, server: srv, pipe: p, n: n}
+	return &harness{listener: l, server: srv, store: store, pipe: p, n: n}
 }
 
 func (h *harness) config() Config {

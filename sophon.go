@@ -344,9 +344,6 @@ type TrainerOptions struct {
 	// FetchBatchSize groups this many samples per storage round trip;
 	// 0 or 1 means per-sample fetches.
 	FetchBatchSize int
-	// PrefetchWindow bounds concurrently in-flight fetch requests on the
-	// shared storage session; zero means 2×Workers.
-	PrefetchWindow int
 	// RequestTimeout bounds each storage round trip; zero means the
 	// client default (30s), negative disables the timeout.
 	RequestTimeout time.Duration
@@ -398,7 +395,6 @@ func (c *Cluster) NewTrainer(opts TrainerOptions) (*Trainer, error) {
 		JobID:          opts.JobID,
 		Shuffle:        opts.Shuffle,
 		FetchBatchSize: opts.FetchBatchSize,
-		PrefetchWindow: opts.PrefetchWindow,
 	})
 	if err != nil {
 		return nil, err
