@@ -1,13 +1,13 @@
 package main
 
-// The -fidelity mode: the progressive-fidelity evaluation behind BENCH_pr10.
+// The -fidelity scenario: the progressive-fidelity evaluation behind BENCH_pr10.
 // It first calibrates the byte/quality ladder from the LIVE codec — encoding
 // synthetic photos as progressive containers, slicing every prefix depth,
 // and measuring real prefix byte fractions and reconstruction error — then
 // plans the same storage-core-starved epoch twice: the paper's discrete
 // greedy loop alone, and with the progressive second pass, which sheds
 // further bytes by withholding refinement scans at zero storage-CPU cost.
-// Both plans replay through the discrete-event engine; the report records
+// Both plans replay through the discrete-event engine; the record holds
 // traffic, epoch time, and mean reconstruction quality for both, and the
 // whole scenario runs twice to prove bit-identical determinism.
 
@@ -15,7 +15,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"os"
+	"io"
 	"runtime"
 	"time"
 
@@ -27,12 +27,13 @@ import (
 	"repro/internal/policy"
 )
 
-// fidelityOptions collects the -fidelity.* knobs.
-type fidelityOptions struct {
-	samples   int
-	floor     float64 // per-sample quality floor
-	meanFloor float64 // plan-wide mean quality floor
-}
+// The comparison epoch (8000 samples) and the fidelity pass's quality
+// floors: per sample and plan-wide mean.
+const (
+	fidelitySamples   = 8000
+	fidelityFloor     = 0.95
+	fidelityMeanFloor = 0.97
+)
 
 // fidelityMode is one plan's measured epoch.
 type fidelityMode struct {
@@ -132,12 +133,12 @@ func calibrateFidelity(seed uint64) (policy.FidelityModel, error) {
 }
 
 // runFidelityScenario performs one full calibration + plan + simulate pass.
-func runFidelityScenario(seed uint64, opt fidelityOptions) (fidelityReport, error) {
+func runFidelityScenario(seed uint64) (fidelityReport, error) {
 	fm, err := calibrateFidelity(seed)
 	if err != nil {
 		return fidelityReport{}, fmt.Errorf("calibrate: %w", err)
 	}
-	tr, err := dataset.GenerateTrace(dataset.OpenImages12G().ScaledTo(opt.samples), seed)
+	tr, err := dataset.GenerateTrace(dataset.OpenImages12G().ScaledTo(fidelitySamples), seed)
 	if err != nil {
 		return fidelityReport{}, err
 	}
@@ -161,8 +162,8 @@ func runFidelityScenario(seed uint64, opt fidelityOptions) (fidelityReport, erro
 	}
 	prog := &policy.Sophon{Fidelity: &policy.FidelityPass{
 		Model:            fm,
-		QualityFloor:     opt.floor,
-		MeanQualityFloor: opt.meanFloor,
+		QualityFloor:     fidelityFloor,
+		MeanQualityFloor: fidelityMeanFloor,
 	}}
 	progPlan, err := prog.Plan(tr, env)
 	if err != nil {
@@ -211,55 +212,48 @@ func runFidelityScenario(seed uint64, opt fidelityOptions) (fidelityReport, erro
 		Samples:            tr.N(),
 		CalibratedByteFrac: fm.ByteFrac,
 		CalibratedQuality:  fm.Quality,
-		QualityFloor:       opt.floor,
-		MeanQualityFloor:   opt.meanFloor,
+		QualityFloor:       fidelityFloor,
+		MeanQualityFloor:   fidelityMeanFloor,
 		Discrete:           modeOf(discretePlan.Name, discrete),
 		Progressive:        modeOf(progPlan.Name, progressive),
 		TrafficReduction:   1 - float64(progressive.TrafficBytes)/float64(discrete.TrafficBytes),
 	}, nil
 }
 
-// writeFidelityJSON runs the scenario twice, requires bit-identical reports
-// and the headline ≥15 % traffic reduction at iso-quality, and writes the
-// report.
-func writeFidelityJSON(path string, seed uint64, opt fidelityOptions) error {
-	first, err := runFidelityScenario(seed, opt)
+// runFidelity runs the scenario twice, requires bit-identical reports and
+// the headline ≥15 % traffic reduction at iso-quality, and returns the
+// record.
+func runFidelity(seed uint64, log io.Writer) (any, error) {
+	first, err := runFidelityScenario(seed)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	second, err := runFidelityScenario(seed, opt)
+	second, err := runFidelityScenario(seed)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	a, err := json.Marshal(first)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	b, err := json.Marshal(second)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if !bytes.Equal(a, b) {
-		return fmt.Errorf("fidelity: scenario is not deterministic across replays")
+		return nil, fmt.Errorf("fidelity: scenario is not deterministic across replays")
 	}
 	first.Deterministic = true
 	if first.TrafficReduction < 0.15 {
-		return fmt.Errorf("fidelity: traffic reduction %.1f%% below the 15%% bar",
+		return nil, fmt.Errorf("fidelity: traffic reduction %.1f%% below the 15%% bar",
 			100*first.TrafficReduction)
 	}
-	if first.Progressive.MeanQuality < opt.meanFloor {
-		return fmt.Errorf("fidelity: mean quality %.4f below the %.4f floor",
-			first.Progressive.MeanQuality, opt.meanFloor)
+	if first.Progressive.MeanQuality < fidelityMeanFloor {
+		return nil, fmt.Errorf("fidelity: mean quality %.4f below the %.4f floor",
+			first.Progressive.MeanQuality, fidelityMeanFloor)
 	}
-	data, err := json.MarshalIndent(first, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "sophon-bench: fidelity: discrete %.1f MB vs progressive %.1f MB (−%.1f%%) at mean quality %.4f\n",
+	fmt.Fprintf(log, "sophon-bench: fidelity: discrete %.1f MB vs progressive %.1f MB (−%.1f%%) at mean quality %.4f\n",
 		first.Discrete.TrafficMB, first.Progressive.TrafficMB,
 		100*first.TrafficReduction, first.Progressive.MeanQuality)
-	return nil
+	return first, nil
 }

@@ -10,14 +10,13 @@ package main
 //     budgets, granting weighted-fair bandwidth shares and water-filled
 //     cores, so every plan reflects the contention it will actually see.
 //
-// The report records both replays plus the determinism check: the
-// coordinated replay runs twice and the digests must match bit-for-bit
-// (CI additionally re-runs the whole scenario and diffs the reports).
+// The record (BENCH_pr6.json) holds both replays plus the determinism
+// check: the coordinated replay runs twice and the digests must match
+// bit-for-bit.
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
+	"io"
 	"runtime"
 
 	"repro/internal/dataset"
@@ -81,7 +80,7 @@ func side(r engine.FleetResult) fleetSide {
 	}
 }
 
-func writeFleetJSON(path string, seed uint64) error {
+func runFleet(seed uint64, _ io.Writer) (any, error) {
 	// Per-tenant resources; the tier-wide link and core budgets are shared.
 	tenantEnv := policy.Env{
 		Bandwidth:       netsim.Mbps(fleetLinkMbps), // coordinator overrides with the fair share
@@ -103,7 +102,7 @@ func writeFleetJSON(path string, seed uint64) error {
 	for d := 0; d < fleetDatasets; d++ {
 		tr, err := dataset.GenerateTrace(dataset.OpenImages12G().ScaledTo(fleetSamples), seed+uint64(d))
 		if err != nil {
-			return err
+			return nil, err
 		}
 		for j := 0; j < fleetTenantsPerSet; j++ {
 			specs = append(specs, tenantSpec{
@@ -120,7 +119,7 @@ func writeFleetJSON(path string, seed uint64) error {
 	for i, s := range specs {
 		plan, err := soloEngine.Plan(s.trace, tierEnv)
 		if err != nil {
-			return fmt.Errorf("independent plan %s: %w", s.name, err)
+			return nil, fmt.Errorf("independent plan %s: %w", s.name, err)
 		}
 		independent[i] = engine.FleetJob{Name: s.name, Trace: s.trace, Plan: plan, Dataset: s.dataset}
 	}
@@ -132,13 +131,13 @@ func writeFleetJSON(path string, seed uint64) error {
 		Bandwidth: netsim.Mbps(fleetLinkMbps),
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	for _, s := range specs {
 		if _, err := coord.Admit(sched.Tenant{
 			Name: s.name, Trace: s.trace, Env: tenantEnv, Dataset: s.dataset,
 		}); err != nil {
-			return fmt.Errorf("admit %s: %w", s.name, err)
+			return nil, fmt.Errorf("admit %s: %w", s.name, err)
 		}
 	}
 	grants := coord.Grants()
@@ -158,15 +157,15 @@ func writeFleetJSON(path string, seed uint64) error {
 	}
 	coordRes, err := replay(coordinated)
 	if err != nil {
-		return fmt.Errorf("coordinated replay: %w", err)
+		return nil, fmt.Errorf("coordinated replay: %w", err)
 	}
 	coordRes2, err := replay(coordinated)
 	if err != nil {
-		return fmt.Errorf("coordinated replay (2nd): %w", err)
+		return nil, fmt.Errorf("coordinated replay (2nd): %w", err)
 	}
 	indepRes, err := replay(independent)
 	if err != nil {
-		return fmt.Errorf("independent replay: %w", err)
+		return nil, fmt.Errorf("independent replay: %w", err)
 	}
 
 	report := fleetReport{
@@ -187,22 +186,15 @@ func writeFleetJSON(path string, seed uint64) error {
 		CoordinatedSpeedup: indepRes.AggregateEpochTime.Seconds() / coordRes.AggregateEpochTime.Seconds(),
 		DeterminismOK:      coordRes.Digest == coordRes2.Digest,
 	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
 	if !report.DeterminismOK {
-		return fmt.Errorf("fleet replay not deterministic: %016x vs %016x", coordRes.Digest, coordRes2.Digest)
+		return nil, fmt.Errorf("fleet replay not deterministic: %016x vs %016x", coordRes.Digest, coordRes2.Digest)
 	}
 	if report.CoordinatedSpeedup <= 1 {
-		return fmt.Errorf("coordinated planning (%.1fs aggregate) did not beat independent planning (%.1fs)",
+		return nil, fmt.Errorf("coordinated planning (%.1fs aggregate) did not beat independent planning (%.1fs)",
 			report.Coordinated.AggregateEpochSeconds, report.Independent.AggregateEpochSeconds)
 	}
 	if coordRes.CacheHits == 0 {
-		return fmt.Errorf("overlapping-dataset tenants produced no cross-job cache hits")
+		return nil, fmt.Errorf("overlapping-dataset tenants produced no cross-job cache hits")
 	}
-	return nil
+	return report, nil
 }

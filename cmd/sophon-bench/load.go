@@ -1,15 +1,15 @@
 package main
 
-// The -load / -gate / -convert modes: the heavy-traffic serving harness's
-// CLI surface. -load runs the open-loop load generator against the simulated
-// sharded tier and writes a versioned SLO record; -gate.cur diffs a fresh
-// record against the committed baseline and exits non-zero on regression
-// (the CI perf-trajectory gate); -convert folds historical BENCH_pr*.json
-// records into one TRAJECTORY file.
+// The -load scenario and the two record tools. -load runs the open-loop load
+// generator against the simulated sharded tier and returns a versioned SLO
+// record (BENCH_pr7.json); gate diffs a fresh record against the committed
+// baseline (the CI perf-trajectory gate); writeConvertJSON folds records into
+// one TRAJECTORY file.
 
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strings"
@@ -25,14 +25,16 @@ import (
 	"repro/internal/simclock"
 )
 
-// loadOptions collects the -load.* knobs.
-type loadOptions struct {
-	sessions int
-	duration time.Duration
-	shards   int
-	cores    int
-	mbps     float64
-}
+// The simulated tier and workload: 2400 sessions over 4 shards of 8
+// offload cores, the paper's 500 Mbps storage link split evenly across the
+// shards, and a 5 s simulated window per scenario.
+const (
+	loadSessions = 2400
+	loadDuration = 5 * time.Second
+	loadShards   = 4
+	loadCores    = 8
+	loadMbps     = 500
+)
 
 // buildLoadJobs derives the mixed job profiles from fleet tenant specs: two
 // tenants (an OpenImages-profile job and an ImageNet-profile job) admitted
@@ -40,7 +42,7 @@ type loadOptions struct {
 // into loadgen specs. Roughly 2/3 of the sessions go to the heavier tenant.
 // Arrival rates are scaled so the offered link traffic is util × the tier's
 // capacity — util < 1 is a steady workload, util > 1 open-loop overload.
-func buildLoadJobs(seed uint64, opt loadOptions, util float64) ([]loadgen.JobSpec, error) {
+func buildLoadJobs(seed uint64, util float64) ([]loadgen.JobSpec, error) {
 	trA, err := dataset.GenerateTrace(dataset.OpenImages12G().ScaledTo(1200), seed)
 	if err != nil {
 		return nil, err
@@ -50,9 +52,9 @@ func buildLoadJobs(seed uint64, opt loadOptions, util float64) ([]loadgen.JobSpe
 		return nil, err
 	}
 	coord, err := sched.NewCoordinator(sched.FleetConfig{
-		Cores:     opt.shards * opt.cores,
-		Bandwidth: netsim.Mbps(opt.mbps),
-		Shards:    opt.shards,
+		Cores:     loadShards * loadCores,
+		Bandwidth: netsim.Mbps(loadMbps),
+		Shards:    loadShards,
 		Clock:     simclock.NewVirtual(time.Unix(0, 0)),
 	})
 	if err != nil {
@@ -60,7 +62,7 @@ func buildLoadJobs(seed uint64, opt loadOptions, util float64) ([]loadgen.JobSpe
 	}
 	env := policy.Env{
 		ComputeCores:    16,
-		Bandwidth:       netsim.Mbps(opt.mbps),
+		Bandwidth:       netsim.Mbps(loadMbps),
 		StorageSlowdown: 1,
 		GPU:             gpu.AlexNet,
 	}
@@ -74,10 +76,10 @@ func buildLoadJobs(seed uint64, opt loadOptions, util float64) ([]loadgen.JobSpe
 			return nil, fmt.Errorf("admit %s: %w", t.Name, err)
 		}
 		grant := coord.Grants()[t.Name]
-		sessions := opt.sessions * 2 / 3
+		sessions := loadSessions * 2 / 3
 		hitRate := 0.4
 		if i == 1 {
-			sessions = opt.sessions - sessions
+			sessions = loadSessions - sessions
 			hitRate = 0.3
 		}
 		// Provisional per-session rates (scaled to the link below): the
@@ -101,7 +103,7 @@ func buildLoadJobs(seed uint64, opt loadOptions, util float64) ([]loadgen.JobSpe
 	if offered <= 0 {
 		return nil, fmt.Errorf("load workload offers no link traffic")
 	}
-	scale := util * netsim.Mbps(opt.mbps) / offered
+	scale := util * netsim.Mbps(loadMbps) / offered
 	for i := range jobs {
 		jobs[i].Rate *= scale
 	}
@@ -109,18 +111,18 @@ func buildLoadJobs(seed uint64, opt loadOptions, util float64) ([]loadgen.JobSpe
 }
 
 // runLoadScenario runs one named workload through the DES harness.
-func runLoadScenario(name string, seed uint64, opt loadOptions, util float64, adm loadgen.AdmissionSpec) (perfbench.SLOScenario, *loadgen.Report, error) {
-	jobs, err := buildLoadJobs(seed, opt, util)
+func runLoadScenario(name string, seed uint64, util float64, adm loadgen.AdmissionSpec) (perfbench.SLOScenario, *loadgen.Report, error) {
+	jobs, err := buildLoadJobs(seed, util)
 	if err != nil {
 		return perfbench.SLOScenario{}, nil, err
 	}
 	rep, err := loadgen.Run(loadgen.Config{
 		Seed:            seed,
-		Duration:        opt.duration,
+		Duration:        loadDuration,
 		Jobs:            jobs,
-		Shards:          opt.shards,
-		CoresPerShard:   opt.cores,
-		LinkBytesPerSec: netsim.Mbps(opt.mbps) / float64(opt.shards),
+		Shards:          loadShards,
+		CoresPerShard:   loadCores,
+		LinkBytesPerSec: netsim.Mbps(loadMbps) / loadShards,
 		Admission:       adm,
 	})
 	if err != nil {
@@ -129,121 +131,95 @@ func runLoadScenario(name string, seed uint64, opt loadOptions, util float64, ad
 	return perfbench.ScenarioFromReport(name, rep), rep, nil
 }
 
-// writeLoadJSON runs the steady and overload scenarios and writes the SLO
+// runLoad runs the steady and overload scenarios and returns the SLO
 // record. Steady offers ~65% of tier capacity; overload offers 2.6x
 // capacity against a tight admission budget, so the record shows both
 // nominal SLOs and shed-load behavior.
-func writeLoadJSON(path string, seed uint64, opt loadOptions) error {
-	steady, steadyRep, err := runLoadScenario("steady", seed, opt, 0.65, loadgen.AdmissionSpec{})
+func runLoad(seed uint64, log io.Writer) (any, error) {
+	steady, steadyRep, err := runLoadScenario("steady", seed, 0.65, loadgen.AdmissionSpec{})
 	if err != nil {
-		return err
+		return nil, err
 	}
-	overload, overloadRep, err := runLoadScenario("overload", seed, opt, 2.6, loadgen.AdmissionSpec{
+	overload, overloadRep, err := runLoadScenario("overload", seed, 2.6, loadgen.AdmissionSpec{
 		MaxInFlightBytes:  2 << 20,
 		MaxQueuePerTenant: 16,
 	})
 	if err != nil {
-		return err
-	}
-	record := perfbench.SLORecord{
-		Kind:      "SLO",
-		Version:   perfbench.SLORecordVersion,
-		GoVersion: runtime.Version(),
-		Seed:      seed,
-		Scenarios: []perfbench.SLOScenario{steady, overload},
-	}
-	data, err := json.MarshalIndent(record, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
+		return nil, err
 	}
 	for _, s := range []struct {
 		name string
 		rep  *loadgen.Report
 	}{{"steady", steadyRep}, {"overload", overloadRep}} {
-		fmt.Fprintf(os.Stderr, "sophon-bench: %-8s %d sessions, %.0f rps offered, %.0f rps served, %.2f%% shed",
+		fmt.Fprintf(log, "sophon-bench: %-8s %d sessions, %.0f rps offered, %.0f rps served, %.2f%% shed",
 			s.name, s.rep.Sessions, s.rep.OfferedRPS, s.rep.ThroughputRPS, 100*s.rep.ShedRate)
 		if c := s.rep.Classes["raw"]; c != nil {
-			fmt.Fprintf(os.Stderr, ", raw p99 %.2f ms", float64(c.P99.Nanoseconds())/1e6)
+			fmt.Fprintf(log, ", raw p99 %.2f ms", float64(c.P99.Nanoseconds())/1e6)
 		}
-		fmt.Fprintln(os.Stderr)
+		fmt.Fprintln(log)
 	}
-	return nil
+	return perfbench.SLORecord{
+		Kind:      "SLO",
+		Version:   perfbench.SLORecordVersion,
+		GoVersion: runtime.Version(),
+		Seed:      seed,
+		Scenarios: []perfbench.SLOScenario{steady, overload},
+	}, nil
 }
 
-// runGate diffs two committed perf records and prints every regression past
-// the thresholds; returns false (→ exit 1) when any is found. The record
-// shape is detected from the files: two SLO records gate latency and
-// throughput with CompareSLO, two alloc-suite BENCH records gate allocs/op
-// with CompareBench (allocSlack extra allocations tolerated per kernel).
-// Mixing shapes is a usage error.
-func runGate(prevPath, curPath string, noise float64, allocSlack int64) bool {
-	read := func(path string) ([]byte, bool) {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sophon-bench: %v\n", err)
-			return nil, false
+// gate diffs two records of the same kind and returns every regression:
+// SLO records go to CompareSLO, alloc-suite BENCH records to CompareBench.
+// Any other record, or two records of different kinds, is an error that
+// names the file.
+func gate(prevPath, curPath string) ([]string, error) {
+	prev, err := readGateRecord(prevPath)
+	if err != nil {
+		return nil, err
+	}
+	cur, err := readGateRecord(curPath)
+	if err != nil {
+		return nil, err
+	}
+	switch p := prev.(type) {
+	case *perfbench.SLORecord:
+		if c, ok := cur.(*perfbench.SLORecord); ok {
+			return perfbench.CompareSLO(*p, *c), nil
 		}
-		return data, true
+	case *perfbench.BenchRecord:
+		if c, ok := cur.(*perfbench.BenchRecord); ok {
+			return perfbench.CompareBench(*p, *c), nil
+		}
 	}
-	prevData, ok := read(prevPath)
-	if !ok {
-		return false
-	}
-	curData, ok := read(curPath)
-	if !ok {
-		return false
-	}
-	if perfbench.IsBenchSuite(prevData) != perfbench.IsBenchSuite(curData) {
-		fmt.Fprintf(os.Stderr, "sophon-bench: %s and %s are different record shapes; gate like against like\n", prevPath, curPath)
-		return false
-	}
+	return nil, fmt.Errorf("%s and %s are different record kinds; gate like against like", prevPath, curPath)
+}
 
-	var regs []string
-	if perfbench.IsBenchSuite(prevData) {
-		var prev, cur perfbench.BenchRecord
-		if err := json.Unmarshal(prevData, &prev); err != nil {
-			fmt.Fprintf(os.Stderr, "sophon-bench: %s: %v\n", prevPath, err)
-			return false
-		}
-		if err := json.Unmarshal(curData, &cur); err != nil {
-			fmt.Fprintf(os.Stderr, "sophon-bench: %s: %v\n", curPath, err)
-			return false
-		}
-		regs = perfbench.CompareBench(prev, cur, allocSlack)
-	} else {
-		decode := func(path string, data []byte) (perfbench.SLORecord, bool) {
-			var rec perfbench.SLORecord
-			if err := json.Unmarshal(data, &rec); err != nil {
-				fmt.Fprintf(os.Stderr, "sophon-bench: %s: %v\n", path, err)
-				return rec, false
-			}
-			if rec.Kind != "SLO" {
-				fmt.Fprintf(os.Stderr, "sophon-bench: %s: kind %q, want SLO or an alloc-suite BENCH record\n", path, rec.Kind)
-				return rec, false
-			}
-			return rec, true
-		}
-		prev, ok := decode(prevPath, prevData)
-		if !ok {
-			return false
-		}
-		cur, ok := decode(curPath, curData)
-		if !ok {
-			return false
-		}
-		regs = perfbench.CompareSLO(prev, cur, noise)
+// readGateRecord decodes a record's kind and then the record itself, as a
+// *perfbench.SLORecord or a *perfbench.BenchRecord.
+func readGateRecord(path string) (any, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
 	}
-	if len(regs) == 0 {
-		fmt.Fprintf(os.Stderr, "sophon-bench: gate PASS (%s vs %s)\n", curPath, prevPath)
-		return true
+	var head struct {
+		Kind    string            `json:"kind"`
+		Results []json.RawMessage `json:"results"`
 	}
-	for _, r := range regs {
-		fmt.Fprintf(os.Stderr, "sophon-bench: gate FAIL: %s\n", r)
+	if err := json.Unmarshal(data, &head); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	return false
+	var rec any
+	switch {
+	case head.Kind == "SLO":
+		rec = &perfbench.SLORecord{}
+	case head.Kind == "BENCH" && len(head.Results) > 0:
+		rec = &perfbench.BenchRecord{}
+	default:
+		return nil, fmt.Errorf("%s: a %q record without alloc-suite results cannot be gated; want an SLO record or a `sophon-bench -json` BENCH record", path, head.Kind)
+	}
+	if err := json.Unmarshal(data, rec); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return rec, nil
 }
 
 // writeConvertJSON folds the comma-separated record files into one
@@ -268,9 +244,5 @@ func writeConvertJSON(files, outPath string) error {
 	if len(traj.Entries) == 0 {
 		return fmt.Errorf("no records in -convert %q", files)
 	}
-	data, err := json.MarshalIndent(traj, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(outPath, append(data, '\n'), 0o644)
+	return writeRecord(outPath, traj)
 }

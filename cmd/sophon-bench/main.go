@@ -1,206 +1,87 @@
-// Command sophon-bench regenerates every table and figure from the paper's
-// evaluation section and writes the report to stdout (or a file).
+// Command sophon-bench regenerates the paper's evaluation tables and the
+// repository's committed perf records.
 //
 // Usage:
 //
-//	sophon-bench [-seed N] [-openimages N] [-imagenet N] [-o report.txt]
-//	sophon-bench -json bench.json
+//	sophon-bench [-seed N] [-o report.txt] [-csv dir]
+//	sophon-bench [-seed N] -NAME record.json
+//	sophon-bench -gate.prev baseline.json -gate.cur current.json
+//	sophon-bench -convert a.json,b.json [-convert.o TRAJECTORY.json]
+//	sophon-bench -chaos.seed N [-chaos.class C] [-chaos.duration D]
 //
-// With no size overrides the datasets run at paper scale (40 000 OpenImages
-// samples, 91 000 ImageNet samples); the whole suite still completes in a
-// few seconds because the evaluation replays profiled traces through the
-// discrete-event engine.
+// With no mode flag the command runs the evaluation at paper scale (40 000
+// OpenImages samples, 91 000 ImageNet samples) and writes the report to
+// stdout or -o; it still completes in a few seconds because the evaluation
+// replays profiled traces through the discrete-event engine.
 //
-// With -json the command instead runs the data-plane micro-benchmark suite
-// (codec, fused tensor kernel, pipeline, wire framing) and writes one BENCH
-// record per kernel — ns/op, B/op, allocs/op, MB/s — to the given file, then
-// exits without running the evaluation. These records are the input to the
-// allocation-regression tracking in BENCH_pr3.json.
+// Every record comes from one entry of the scenarios table, which registers
+// a -NAME FILE flag: the scenario runs at -seed and its record is written to
+// FILE. The committed records regenerate with
 //
-// With -adaptive the command instead runs the adaptive control-plane
-// scenario — the storage link reshaped 500→250 Mbps mid-run, the controller
-// replanning at the next epoch boundary — and writes a JSON report comparing
-// adaptive, static, and oracle epoch times (the contents of BENCH_pr5.json).
+//	-json      data-plane micro-benchmark suite, one result per kernel (BENCH_alloc.json)
+//	-adaptive  link reshaped 500→250 Mbps mid-run, adaptive vs static vs oracle (BENCH_pr5.json)
+//	-fleet     100 jobs on one tier, coordinated vs independent planning (BENCH_pr6.json)
+//	-load      open-loop serving harness, steady and 2.6x overload SLOs (BENCH_pr7.json)
+//	-prefetch  clairvoyant per-shard lookahead vs reactive window (BENCH_pr8.json)
+//	-prepsched work-stealing vs FIFO preprocessing dispatch (BENCH_pr9.json)
+//	-fidelity  progressive fidelity vs the discrete plan (BENCH_pr10.json)
 //
-// With -fleet the command instead runs the multi-tenant fleet scenario — 100
-// jobs (20 datasets × 5 tenants) planned by the fleet coordinator against the
-// shared tier budgets versus 100 independent single-job planners, both
-// replayed through the deterministic fleet DES with the cross-job artifact
-// cache — and writes a JSON comparison (the contents of BENCH_pr6.json). The
-// coordinated replay runs twice; mismatching digests fail the command.
+// -gate.prev/-gate.cur diff two records of the same kind and exit 1 on any
+// regression (the CI perf-trajectory gate): SLO records gate p99/p999 and
+// throughput past perfbench.DefaultNoise; alloc-suite BENCH records gate
+// allocs/op exactly. -convert folds any records into one TRAJECTORY file.
 //
-// With -load the command instead runs the heavy-traffic serving harness:
-// thousands of open-loop sessions (Poisson and bursty arrivals, job profiles
-// drawn from fleet tenant specs) against the simulated sharded tier, once at
-// ~65% of link capacity and once at 2.6x capacity behind admission control.
-// The output is a versioned SLO record — p50/p90/p99/p999 per fetch class
-// (cache hit / offloaded / raw) plus throughput and shed rates — the
-// contents of BENCH_pr7.json. -gate.prev/-gate.cur diff two committed perf
-// records and exit non-zero on any regression (the CI perf-trajectory gate):
-// two SLO records gate p99 and throughput past -gate.noise; two alloc-suite
-// BENCH records (from -json) gate allocs/op against the baseline plus
-// -gate.allocslack. -convert folds historical BENCH_pr*.json and SLO records
-// into one TRAJECTORY.json time series.
+// -chaos.seed runs the deterministic chaos soak: a trainer over a
+// fault-injected sharded storage tier, checked against a fault-free
+// reference for bit-identical artifacts and exact failure accounting. One
+// JSON report per soak is written to stdout; -chaos.duration keeps soaking
+// with deterministically derived seeds until the budget runs out, and
+// -chaos.class picks the fault mix. A failing soak's report carries the
+// seed and plan digest needed to replay it exactly.
 //
-// With -prefetch the command instead runs the clairvoyant-vs-reactive loader
-// comparison on an I/O-bound sharded epoch — per-shard lookahead issue queues
-// against the reactive global prefetch window, same shuffled stream — and
-// writes a JSON report with epoch times and per-link idle fractions (the
-// contents of BENCH_pr8.json).
-//
-// With -prepsched the command instead runs the variance-aware preprocessing
-// scheduler comparison on a compute-bound epoch with a skewed heavy/light
-// cost mix — per-worker work-stealing deques against static FIFO assignment,
-// same shuffled stream — and writes a JSON report with epoch times,
-// per-worker stall fractions, and steal counts (the contents of
-// BENCH_pr9.json).
-//
-// With -chaos.seed the command instead runs the deterministic chaos soak: a
-// trainer over a fault-injected sharded storage tier, checked against a
-// fault-free reference for bit-identical artifacts and exact failure
-// accounting. One JSON report per soak is written to stdout; -chaos.duration
-// keeps soaking with deterministically derived seeds until the budget runs
-// out, and -chaos.class picks the fault mix. A failing soak's report carries
-// the seed and plan digest needed to replay it exactly.
+// A scenario, the gate, -convert and -chaos.seed are separate modes; setting
+// two is a usage error (exit 2).
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
-	"runtime"
 	"time"
 
 	"repro/internal/cliutil"
-	"repro/internal/core"
-	"repro/internal/dataset"
-	"repro/internal/engine"
 	"repro/internal/eval"
-	"repro/internal/gpu"
-	"repro/internal/netsim"
 	"repro/internal/perfbench"
-	"repro/internal/policy"
-	"repro/internal/profiler"
 	"repro/internal/soak"
 )
 
-func writeBenchJSON(path string) error {
-	report, err := perfbench.NewBenchRecord()
-	if err != nil {
-		return err
-	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+// scenario is one record sophon-bench regenerates. run returns the record
+// (marshalled by writeRecord) and may print a one-line summary to log.
+type scenario struct {
+	name  string
+	usage string
+	run   func(seed uint64, log io.Writer) (any, error)
 }
 
-// adaptiveReport is the JSON shape of the adaptive control-plane scenario:
-// the link is reshaped 500→250 Mbps after epoch 2 and the adaptive run is
-// compared against the frozen initial plan and against an oracle planned
-// directly for the degraded link.
-type adaptiveReport struct {
-	Kind        string  `json:"kind"` // always "BENCH"
-	PR          int     `json:"pr"`
-	Description string  `json:"description"`
-	GoVersion   string  `json:"go_version"`
-	Samples     int     `json:"samples"`
-	BaseMbps    float64 `json:"base_mbps"`
-	ReshapeMbps float64 `json:"reshape_mbps"`
-	// ReshapeEpoch is the first epoch the degraded link applies to.
-	ReshapeEpoch uint64             `json:"reshape_epoch"`
-	Adaptive     []core.SimEpoch    `json:"adaptive_epochs"`
-	Static       []core.SimEpoch    `json:"static_epochs"`
-	History      []core.ReplanEvent `json:"replan_history"`
-	// OracleEpochSeconds is one degraded epoch under the oracle plan.
-	OracleEpochSeconds float64 `json:"oracle_epoch_seconds"`
-	// AdaptiveVsOracle and StaticVsAdaptive summarize the post-replan tail:
-	// mean epoch-time ratios (1.0 = parity; lower is better for the first).
-	AdaptiveVsOracle float64 `json:"adaptive_vs_oracle"`
-	StaticVsAdaptive float64 `json:"static_vs_adaptive"`
+var scenarios = []scenario{
+	{"json", "run the data-plane micro-benchmark suite", func(uint64, io.Writer) (any, error) {
+		return perfbench.NewBenchRecord()
+	}},
+	{"adaptive", "run the adaptive control-plane scenario (500→250 Mbps reshape)", runAdaptive},
+	{"fleet", "run the 100-job fleet scenario (coordinated vs independent planning on a shared tier)", runFleet},
+	{"prefetch", "run the clairvoyant-vs-reactive prefetch comparison", runPrefetch},
+	{"prepsched", "run the work-stealing-vs-FIFO preprocessing scheduler comparison", runPrepsched},
+	{"fidelity", "run the progressive-fidelity evaluation (discrete vs fidelity-aware plan, ladder calibrated from the live codec)", runFidelity},
+	{"load", "run the heavy-traffic load harness (steady + overload scenarios)", runLoad},
 }
 
-func writeAdaptiveJSON(path string, seed uint64) error {
-	tr, err := dataset.GenerateTrace(dataset.OpenImages12G().ScaledTo(2000), seed)
-	if err != nil {
-		return err
-	}
-	// Two storage cores keep the offload crossover bandwidth-dependent (with
-	// plentiful cores the same plan is optimal at every link rate and the
-	// scenario shows nothing).
-	env := policy.Env{
-		Bandwidth:       netsim.Mbps(500),
-		ComputeCores:    48,
-		StorageCores:    2,
-		StorageSlowdown: 1,
-		GPU:             gpu.AlexNet,
-	}
-	const epochs = 6
-	const reshapeEpoch = 3
-	degraded := env
-	degraded.Bandwidth = netsim.Mbps(250)
-	envAt := func(e uint64) policy.Env {
-		if e >= reshapeEpoch {
-			return degraded
-		}
-		return env
-	}
-	cfg := core.SimConfig{
-		Trace: tr, Env: env, Epochs: epochs, EnvAt: envAt, Adaptive: true,
-		Drift: profiler.DriftConfig{Alpha: 1, RelThreshold: 0.2, Hysteresis: 1},
-	}
-	adaptive, err := core.RunAdaptiveSim(cfg)
-	if err != nil {
-		return err
-	}
-	staticCfg := cfg
-	staticCfg.Adaptive = false
-	static, err := core.RunAdaptiveSim(staticCfg)
-	if err != nil {
-		return err
-	}
-	oracleDecision, err := core.New().Decide(tr, degraded)
-	if err != nil {
-		return err
-	}
-	oracle, err := engine.Run(engine.Config{Trace: tr, Plan: oracleDecision.Plan, Env: degraded})
-	if err != nil {
-		return err
-	}
-
-	// Post-replan tail: every epoch after the boundary the replan landed on.
-	tailFrom := adaptive.History[len(adaptive.History)-1].Epoch
-	var aSum, sSum, n float64
-	for i := range adaptive.Epochs {
-		if adaptive.Epochs[i].Epoch < tailFrom {
-			continue
-		}
-		aSum += adaptive.Epochs[i].EpochTime.Seconds()
-		sSum += static.Epochs[i].EpochTime.Seconds()
-		n++
-	}
-	report := adaptiveReport{
-		Kind: "BENCH",
-		PR:   5,
-		Description: "Adaptive control plane: link reshaped 500→250 Mbps after epoch 2; " +
-			"the controller replans at the next boundary and converges on the oracle plan. " +
-			"Regenerate with `sophon-bench -adaptive <file>`.",
-		GoVersion:          runtime.Version(),
-		Samples:            tr.N(),
-		BaseMbps:           500,
-		ReshapeMbps:        250,
-		ReshapeEpoch:       reshapeEpoch,
-		Adaptive:           adaptive.Epochs,
-		Static:             static.Epochs,
-		History:            adaptive.History,
-		OracleEpochSeconds: oracle.EpochTime.Seconds(),
-		AdaptiveVsOracle:   aSum / (n * oracle.EpochTime.Seconds()),
-		StaticVsAdaptive:   sSum / aSum,
-	}
-	data, err := json.MarshalIndent(report, "", "  ")
+// writeRecord writes v as indented JSON plus a trailing newline: the format
+// of every committed record.
+func writeRecord(path string, v any) error {
+	data, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		return err
 	}
@@ -208,25 +89,26 @@ func writeAdaptiveJSON(path string, seed uint64) error {
 }
 
 // runChaos soaks until the duration budget is spent (always at least once),
-// printing one JSON report per run. Returns false if any soak failed.
-func runChaos(seed uint64, class string, duration time.Duration) bool {
+// printing one JSON report per run to stdout. Returns false if any soak
+// failed.
+func runChaos(seed uint64, class string, duration time.Duration, stdout, stderr io.Writer) bool {
 	cl, err := soak.ParseClass(class)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "sophon-bench: %v\n", err)
+		fmt.Fprintf(stderr, "sophon-bench: %v\n", err)
 		return false
 	}
-	enc := json.NewEncoder(os.Stdout)
+	enc := json.NewEncoder(stdout)
 	deadline := time.Now().Add(duration)
 	ok := true
 	for i := 0; ; i++ {
 		rep, err := soak.Run(soak.Config{Seed: seed, Class: cl})
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "sophon-bench: soak seed=%d: %v\n", seed, err)
+			fmt.Fprintf(stderr, "sophon-bench: soak seed=%d: %v\n", seed, err)
 			return false
 		}
 		enc.Encode(rep)
 		if !rep.Ok() {
-			fmt.Fprintf(os.Stderr, "sophon-bench: soak seed=%d digest=%08x FAILED: %d mismatches, %d failed (want %d)\n",
+			fmt.Fprintf(stderr, "sophon-bench: soak seed=%d digest=%08x FAILED: %d mismatches, %d failed (want %d)\n",
 				seed, rep.Digest, rep.Mismatches, rep.Failed, rep.WantFailed)
 			ok = false
 		}
@@ -238,197 +120,138 @@ func runChaos(seed uint64, class string, duration time.Duration) bool {
 }
 
 func main() {
-	seed := flag.Uint64("seed", 2024, "random seed for dataset generation")
-	openImages := flag.Int("openimages", 0, "OpenImages sample-count override (0 = paper scale, 40000)")
-	imageNet := flag.Int("imagenet", 0, "ImageNet sample-count override (0 = paper scale, 91000)")
-	out := flag.String("o", "", "write the report to this file instead of stdout")
-	csvDir := flag.String("csv", "", "also write one CSV per table into this directory")
-	jsonOut := flag.String("json", "", "run the data-plane micro-benchmarks and write BENCH records to this file (skips the evaluation)")
-	chaosSeed := flag.Uint64("chaos.seed", 0, "run the deterministic chaos soak with this fault seed instead of the evaluation")
-	chaosClass := flag.String("chaos.class", "mixed", "chaos soak fault class: none|delays|corrupt|mixed|partition")
-	chaosDuration := flag.Duration("chaos.duration", 0, "keep soaking with derived seeds until this much time has passed")
-	adaptiveOut := flag.String("adaptive", "", "run the adaptive control-plane scenario (500→250 Mbps reshape) and write the JSON report to this file (skips the evaluation)")
-	prefetchOut := flag.String("prefetch", "", "run the clairvoyant-vs-reactive prefetch comparison and write the JSON report to this file (skips the evaluation)")
-	prefetchSamples := flag.Int("prefetch.samples", 8000, "samples in the prefetch comparison epoch")
-	prefetchShards := flag.Int("prefetch.shards", 8, "storage shards in the prefetch comparison")
-	prefetchDepth := flag.Int("prefetch.depth", 16, "per-shard lookahead depth for the clairvoyant run")
-	prepschedOut := flag.String("prepsched", "", "run the work-stealing-vs-FIFO preprocessing scheduler comparison and write the JSON report to this file (skips the evaluation)")
-	prepschedSamples := flag.Int("prepsched.samples", 2000, "samples in the prepsched comparison epoch")
-	prepschedWorkers := flag.Int("prepsched.workers", 8, "preprocessing workers (and compute cores) in the prepsched comparison")
-	prepschedHeavyFrac := flag.Float64("prepsched.heavyfrac", 0.05, "fraction of samples made heavy in the skewed mix")
-	prepschedCostRatio := flag.Int("prepsched.costratio", 20, "preprocessing cost multiplier for heavy samples")
-	prepschedThreshold := flag.Float64("prepsched.threshold", 0, "heavy classification threshold as a multiple of the mean cost (0 = default)")
-	fleetOut := flag.String("fleet", "", "run the 100-job fleet scenario (coordinated vs independent planning on a shared tier) and write the JSON report to this file (skips the evaluation)")
-	fidelityOut := flag.String("fidelity", "", "run the progressive-fidelity evaluation (discrete vs fidelity-aware SOPHON plan, ladder calibrated from the live codec) and write the JSON report to this file (skips the evaluation)")
-	fidelitySamples := flag.Int("fidelity.samples", 8000, "samples in the fidelity comparison epoch")
-	fidelityFloor := flag.Float64("fidelity.floor", 0.95, "per-sample reconstruction quality floor")
-	fidelityMeanFloor := flag.Float64("fidelity.meanfloor", 0.97, "plan-wide mean reconstruction quality floor")
-	loadOut := flag.String("load", "", "run the heavy-traffic load harness (steady + overload scenarios) and write the SLO record to this file (skips the evaluation)")
-	loadSessions := flag.Int("load.sessions", 2400, "total concurrent sessions across the load tenants")
-	loadDuration := flag.Duration("load.duration", 5*time.Second, "simulated load window per scenario")
-	loadShards := flag.Int("load.shards", 4, "storage shards in the simulated tier")
-	loadCores := flag.Int("load.cores", 8, "offload cores per shard")
-	loadMbps := flag.Float64("load.mbps", 500, "total tier bandwidth (Mbit/s), split evenly across shards; the default matches the paper's 500 Mbps storage link")
-	gatePrev := flag.String("gate.prev", "", "perf-trajectory gate: committed baseline SLO record")
-	gateCur := flag.String("gate.cur", "", "perf-trajectory gate: freshly generated SLO record to check")
-	gateNoise := flag.Float64("gate.noise", 0, "gate noise threshold as a fraction (0 = default 0.10); SLO records only")
-	gateAllocSlack := flag.Int64("gate.allocslack", 0, "extra allocs/op tolerated per kernel when gating alloc-suite BENCH records")
-	convertIn := flag.String("convert", "", "comma-separated BENCH/SLO record files to fold into one TRAJECTORY file")
-	convertOut := flag.String("convert.o", "TRAJECTORY.json", "output path for -convert")
-	cliutil.Parse("sophon-bench", "Regenerates the paper's evaluation tables, micro-benchmarks, and load/SLO records.")
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	logger := log.New(os.Stderr, "sophon-bench: ", 0)
-	cliutil.ValidateInts(logger,
-		map[string]bool{
-			"load.sessions": true, "load.shards": true, "load.cores": true,
-			"prefetch.samples": true, "prefetch.shards": true, "prefetch.depth": true,
-			"prepsched.samples": true, "prepsched.workers": true, "prepsched.costratio": true,
-			"fidelity.samples": true,
-		},
-		map[string]bool{"openimages": true, "imagenet": true},
-		map[string]int{
-			"load.sessions": *loadSessions, "load.shards": *loadShards, "load.cores": *loadCores,
-			"openimages": *openImages, "imagenet": *imageNet,
-			"prefetch.samples": *prefetchSamples, "prefetch.shards": *prefetchShards, "prefetch.depth": *prefetchDepth,
-			"prepsched.samples": *prepschedSamples, "prepsched.workers": *prepschedWorkers, "prepsched.costratio": *prepschedCostRatio,
-			"fidelity.samples": *fidelitySamples,
-		})
-	if *prepschedHeavyFrac <= 0 || *prepschedHeavyFrac >= 1 {
-		logger.Fatalf("-prepsched.heavyfrac must be in (0, 1), got %g", *prepschedHeavyFrac)
+// run is the whole command: it parses args, runs the one selected mode and
+// returns the exit code (0 ok, 1 failure or gate regression, 2 usage error).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("sophon-bench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	seed := fs.Uint64("seed", 2024, "random seed for the evaluation and every record scenario")
+	out := fs.String("o", "", "write the evaluation report to this file instead of stdout")
+	csvDir := fs.String("csv", "", "also write one CSV per evaluation table into this directory")
+	chaosSeed := fs.Uint64("chaos.seed", 0, "run the deterministic chaos soak with this fault seed instead of the evaluation")
+	chaosClass := fs.String("chaos.class", "mixed", "chaos soak fault class: none|delays|corrupt|mixed|partition")
+	chaosDuration := fs.Duration("chaos.duration", 0, "keep soaking with derived seeds until this much time has passed")
+	gatePrev := fs.String("gate.prev", "", "perf-trajectory gate: committed baseline record (SLO or alloc-suite BENCH)")
+	gateCur := fs.String("gate.cur", "", "perf-trajectory gate: freshly generated record of the same kind to check")
+	convertIn := fs.String("convert", "", "comma-separated record files to fold into one TRAJECTORY file")
+	convertOut := fs.String("convert.o", "TRAJECTORY.json", "output path for -convert")
+	paths := make([]*string, len(scenarios))
+	for i, s := range scenarios {
+		paths[i] = fs.String(s.name, "", s.usage+" and write its record to this file (skips the evaluation)")
 	}
-	if *prepschedThreshold < 0 {
-		logger.Fatalf("-prepsched.threshold must be non-negative, got %g", *prepschedThreshold)
+	version := cliutil.Setup(fs, "sophon-bench", "Regenerates the paper's evaluation tables and the committed perf records.")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	}
-	if *fidelityFloor < 0 || *fidelityFloor > 1 || *fidelityMeanFloor < 0 || *fidelityMeanFloor > 1 {
-		logger.Fatalf("-fidelity.floor and -fidelity.meanfloor must be in [0, 1], got %g and %g", *fidelityFloor, *fidelityMeanFloor)
+	if *version {
+		fmt.Fprintln(stdout, cliutil.VersionLine("sophon-bench"))
+		return 0
 	}
 
-	if *loadOut != "" {
-		opt := loadOptions{
-			sessions: *loadSessions,
-			duration: *loadDuration,
-			shards:   *loadShards,
-			cores:    *loadCores,
-			mbps:     *loadMbps,
+	var modes []string
+	for i, s := range scenarios {
+		if *paths[i] != "" {
+			modes = append(modes, s.name)
 		}
-		if err := writeLoadJSON(*loadOut, *seed, opt); err != nil {
-			fmt.Fprintf(os.Stderr, "sophon-bench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "sophon-bench: SLO record written to %s\n", *loadOut)
-		return
 	}
-
-	if *gateCur != "" || *gatePrev != "" {
-		if *gateCur == "" || *gatePrev == "" {
-			fmt.Fprintln(os.Stderr, "sophon-bench: -gate.prev and -gate.cur must be set together")
-			os.Exit(2)
-		}
-		if !runGate(*gatePrev, *gateCur, *gateNoise, *gateAllocSlack) {
-			os.Exit(1)
-		}
-		return
+	if *gatePrev != "" {
+		modes = append(modes, "gate.prev")
+	} else if *gateCur != "" {
+		modes = append(modes, "gate.cur")
 	}
-
 	if *convertIn != "" {
-		if err := writeConvertJSON(*convertIn, *convertOut); err != nil {
-			fmt.Fprintf(os.Stderr, "sophon-bench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "sophon-bench: trajectory written to %s\n", *convertOut)
-		return
+		modes = append(modes, "convert")
 	}
-
-	if *fidelityOut != "" {
-		opt := fidelityOptions{samples: *fidelitySamples, floor: *fidelityFloor, meanFloor: *fidelityMeanFloor}
-		if err := writeFidelityJSON(*fidelityOut, *seed, opt); err != nil {
-			fmt.Fprintf(os.Stderr, "sophon-bench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "sophon-bench: fidelity comparison written to %s\n", *fidelityOut)
-		return
-	}
-
-	if *fleetOut != "" {
-		if err := writeFleetJSON(*fleetOut, *seed); err != nil {
-			fmt.Fprintf(os.Stderr, "sophon-bench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "sophon-bench: fleet scenario written to %s\n", *fleetOut)
-		return
-	}
-
-	if *prepschedOut != "" {
-		opt := prepschedOptions{
-			samples:   *prepschedSamples,
-			workers:   *prepschedWorkers,
-			heavyFrac: *prepschedHeavyFrac,
-			costRatio: *prepschedCostRatio,
-			threshold: *prepschedThreshold,
-		}
-		if err := writePrepschedJSON(*prepschedOut, *seed, opt); err != nil {
-			fmt.Fprintf(os.Stderr, "sophon-bench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "sophon-bench: prepsched comparison written to %s\n", *prepschedOut)
-		return
-	}
-
-	if *prefetchOut != "" {
-		opt := prefetchOptions{samples: *prefetchSamples, shards: *prefetchShards, depth: *prefetchDepth}
-		if err := writePrefetchJSON(*prefetchOut, *seed, opt); err != nil {
-			fmt.Fprintf(os.Stderr, "sophon-bench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "sophon-bench: prefetch comparison written to %s\n", *prefetchOut)
-		return
-	}
-
-	if *adaptiveOut != "" {
-		if err := writeAdaptiveJSON(*adaptiveOut, *seed); err != nil {
-			fmt.Fprintf(os.Stderr, "sophon-bench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "sophon-bench: adaptive scenario written to %s\n", *adaptiveOut)
-		return
-	}
-
 	if *chaosSeed != 0 {
-		if !runChaos(*chaosSeed, *chaosClass, *chaosDuration) {
-			os.Exit(1)
-		}
-		return
+		modes = append(modes, "chaos.seed")
+	}
+	if len(modes) > 1 {
+		fmt.Fprintf(stderr, "sophon-bench: -%s and -%s select different modes; set one\n", modes[0], modes[1])
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "sophon-bench: %v\n", err)
+		return 1
 	}
 
-	if *jsonOut != "" {
-		if err := writeBenchJSON(*jsonOut); err != nil {
-			fmt.Fprintf(os.Stderr, "sophon-bench: %v\n", err)
-			os.Exit(1)
+	for i, s := range scenarios {
+		if *paths[i] == "" {
+			continue
 		}
-		fmt.Fprintf(os.Stderr, "sophon-bench: BENCH records written to %s\n", *jsonOut)
-		return
-	}
-
-	w := os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
+		rec, err := s.run(*seed, stderr)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "sophon-bench: %v\n", err)
-			os.Exit(1)
+			return fail(err)
 		}
-		defer f.Close()
+		if err := writeRecord(*paths[i], rec); err != nil {
+			return fail(err)
+		}
+		fmt.Fprintf(stderr, "sophon-bench: %s record written to %s\n", s.name, *paths[i])
+		return 0
+	}
+
+	switch {
+	case *gatePrev != "" || *gateCur != "":
+		if *gatePrev == "" || *gateCur == "" {
+			fmt.Fprintln(stderr, "sophon-bench: -gate.prev and -gate.cur must be set together")
+			return 2
+		}
+		regs, err := gate(*gatePrev, *gateCur)
+		if err != nil {
+			return fail(err)
+		}
+		for _, r := range regs {
+			fmt.Fprintf(stderr, "sophon-bench: gate FAIL: %s\n", r)
+		}
+		if len(regs) > 0 {
+			return 1
+		}
+		fmt.Fprintf(stderr, "sophon-bench: gate PASS (%s vs %s)\n", *gateCur, *gatePrev)
+		return 0
+
+	case *convertIn != "":
+		if err := writeConvertJSON(*convertIn, *convertOut); err != nil {
+			return fail(err)
+		}
+		fmt.Fprintf(stderr, "sophon-bench: trajectory written to %s\n", *convertOut)
+		return 0
+
+	case *chaosSeed != 0:
+		if !runChaos(*chaosSeed, *chaosClass, *chaosDuration, stdout, stderr) {
+			return 1
+		}
+		return 0
+	}
+
+	w := stdout
+	var f *os.File
+	if *out != "" {
+		var err error
+		if f, err = os.Create(*out); err != nil {
+			return fail(err)
+		}
+		defer f.Close() // error paths; the success path checks Close below
 		w = f
 	}
-	opts := eval.Options{Seed: *seed, OpenImages: *openImages, ImageNet: *imageNet}
+	opts := eval.Options{Seed: *seed}
 	if err := eval.RunAll(opts, w); err != nil {
-		fmt.Fprintf(os.Stderr, "sophon-bench: %v\n", err)
-		os.Exit(1)
+		return fail(err)
+	}
+	if f != nil {
+		if err := f.Close(); err != nil {
+			return fail(err)
+		}
 	}
 	if *csvDir != "" {
 		if err := eval.WriteCSVDir(opts, *csvDir); err != nil {
-			fmt.Fprintf(os.Stderr, "sophon-bench: %v\n", err)
-			os.Exit(1)
+			return fail(err)
 		}
-		fmt.Fprintf(os.Stderr, "sophon-bench: CSVs written to %s\n", *csvDir)
+		fmt.Fprintf(stderr, "sophon-bench: CSVs written to %s\n", *csvDir)
 	}
+	return 0
 }

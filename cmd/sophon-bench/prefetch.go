@@ -1,16 +1,15 @@
 package main
 
-// The -prefetch mode: the clairvoyant-vs-reactive loader comparison on an
+// The -prefetch scenario: the clairvoyant-vs-reactive loader comparison on an
 // I/O-bound sharded epoch. Both runs replay the identical shuffled access
 // stream through the discrete-event engine; the only difference is the
 // loader model — a reactive global prefetch window versus per-shard
-// lookahead issue queues. The JSON report (BENCH_pr8.json) records epoch
-// time and per-link idle for both, and the speedup.
+// lookahead issue queues. The record (BENCH_pr8.json) holds epoch time and
+// per-link idle for both, and the speedup.
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
+	"io"
 	"runtime"
 	"time"
 
@@ -21,12 +20,13 @@ import (
 	"repro/internal/policy"
 )
 
-// prefetchOptions collects the -prefetch.* knobs.
-type prefetchOptions struct {
-	samples int
-	shards  int
-	depth   int
-}
+// The comparison epoch: 8000 samples over 8 shards, 16 round trips of
+// lookahead per shard in the clairvoyant run.
+const (
+	prefetchSamples = 8000
+	prefetchShards  = 8
+	prefetchDepth   = 16
+)
 
 // prefetchMode is one loader model's measured epoch.
 type prefetchMode struct {
@@ -66,21 +66,21 @@ func modeOf(r engine.Result) prefetchMode {
 	return m
 }
 
-// writePrefetchJSON runs the comparison and writes the report. The workload
+// runPrefetch runs the comparison and returns the record. The workload
 // is the paper's I/O-bound regime: AlexNet over OpenImages with no
 // offloading, so the shard links are the binding resource and any time a
 // link sits idle is epoch time lost. The reactive run uses the engine's
 // default window (4× the GPU batch) — the point of the comparison is that a
 // fixed global window leaves links idle as the shard fan-out grows, while
 // per-shard lookahead depth keeps every link saturated at any fan-out.
-func writePrefetchJSON(path string, seed uint64, opt prefetchOptions) error {
-	tr, err := dataset.GenerateTrace(dataset.OpenImages12G().ScaledTo(opt.samples), seed)
+func runPrefetch(seed uint64, log io.Writer) (any, error) {
+	tr, err := dataset.GenerateTrace(dataset.OpenImages12G().ScaledTo(prefetchSamples), seed)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	plan, err := policy.NewUniformPlan("No-Off", tr.N(), 0)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	env := policy.Env{
 		Bandwidth:       netsim.Mbps(500), // the paper's storage link, per shard
@@ -92,20 +92,20 @@ func writePrefetchJSON(path string, seed uint64, opt prefetchOptions) error {
 		Trace:       tr,
 		Plan:        plan,
 		Env:         env,
-		Shards:      opt.shards,
+		Shards:      prefetchShards,
 		ShuffleSeed: seed,
 		BatchSize:   64,
 		RTT:         200 * time.Microsecond,
 	}
 	reactive, err := engine.Run(base)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	la := base
-	la.Lookahead = opt.depth
+	la.Lookahead = prefetchDepth
 	clair, err := engine.Run(la)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	report := prefetchReport{
 		Kind: "BENCH",
@@ -115,23 +115,16 @@ func writePrefetchJSON(path string, seed uint64, opt prefetchOptions) error {
 			"Regenerate with `sophon-bench -prefetch <file>`.",
 		GoVersion:       runtime.Version(),
 		Samples:         tr.N(),
-		Shards:          opt.shards,
+		Shards:          prefetchShards,
 		BatchSize:       base.BatchSize,
-		Depth:           opt.depth,
+		Depth:           prefetchDepth,
 		Reactive:        modeOf(reactive),
 		Clairvoyant:     modeOf(clair),
 		PrefetchSpeedup: reactive.EpochTime.Seconds() / clair.EpochTime.Seconds(),
 	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "sophon-bench: prefetch: reactive %.2fs (%.1f%% link idle) vs clairvoyant %.2fs (%.2f%% link idle), %.3fx\n",
+	fmt.Fprintf(log, "sophon-bench: prefetch: reactive %.2fs (%.1f%% link idle) vs clairvoyant %.2fs (%.2f%% link idle), %.3fx\n",
 		report.Reactive.EpochSeconds, 100*report.Reactive.LinkIdleFrac,
 		report.Clairvoyant.EpochSeconds, 100*report.Clairvoyant.LinkIdleFrac,
 		report.PrefetchSpeedup)
-	return nil
+	return report, nil
 }

@@ -1,18 +1,17 @@
 package main
 
-// The -prepsched mode: the variance-aware preprocessing scheduler comparison
+// The -prepsched scenario: the variance-aware preprocessing scheduler comparison
 // on a compute-bound skewed epoch. Both runs replay the identical shuffled
 // stream through the discrete-event engine with per-worker preprocessing
 // queues; the only difference is the dispatch model — static FIFO assignment
 // (head-of-line blocking behind heavy samples) versus work-stealing. The
-// JSON report (BENCH_pr9.json) records epoch time, per-worker stall
-// fraction, and steal counts for both, and the speedup.
+// record (BENCH_pr9.json) holds epoch time, per-worker stall fraction, and
+// steal counts for both, and the speedup.
 
 import (
-	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand/v2"
-	"os"
 	"runtime"
 	"time"
 
@@ -23,14 +22,15 @@ import (
 	"repro/internal/policy"
 )
 
-// prepschedOptions collects the -prepsched.* knobs.
-type prepschedOptions struct {
-	samples   int
-	workers   int
-	heavyFrac float64
-	costRatio int
-	threshold float64 // heavy classification ratio (0 = prepsched default)
-}
+// The comparison epoch: 2000 samples on 8 preprocessing workers (and
+// compute cores), 5% of them made 20× more expensive. The heavy classifier
+// runs at prepsched's default threshold.
+const (
+	prepschedSamples   = 2000
+	prepschedWorkers   = 8
+	prepschedHeavyFrac = 0.05
+	prepschedCostRatio = 20
+)
 
 // prepschedMode is one dispatch model's measured epoch.
 type prepschedMode struct {
@@ -51,9 +51,6 @@ type prepschedReport struct {
 	Workers     int     `json:"workers"`
 	HeavyFrac   float64 `json:"heavy_frac"`
 	CostRatio   int     `json:"cost_ratio"`
-	// HeavyRatio is the classifier threshold as a multiple of the mean
-	// per-sample cost (0 = prepsched's default).
-	HeavyRatio float64 `json:"heavy_threshold_ratio,omitempty"`
 	// HeavySamples is the classifier's heavy count — identical across modes
 	// by construction (classification is scheduling-independent).
 	HeavySamples int           `json:"heavy_samples"`
@@ -95,24 +92,24 @@ func skewedTrace(n int, heavyFrac float64, costRatio int, seed uint64) (*dataset
 	return tr, nil
 }
 
-// writePrepschedJSON runs the comparison and writes the report. The workload
+// runPrepsched runs the comparison and returns the record. The workload
 // is deliberately compute-bound (the link rate is scaled far past need): the
 // binding resource is the per-worker preprocessing queue, so any time a
 // worker idles behind another's heavy sample is epoch time lost. FIFO pins
 // sample i to worker i mod W; steal lets an idle worker take the queued work
 // from the loaded one's tail.
-func writePrepschedJSON(path string, seed uint64, opt prepschedOptions) error {
-	tr, err := skewedTrace(opt.samples, opt.heavyFrac, opt.costRatio, seed)
+func runPrepsched(seed uint64, log io.Writer) (any, error) {
+	tr, err := skewedTrace(prepschedSamples, prepschedHeavyFrac, prepschedCostRatio, seed)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	plan, err := policy.NewUniformPlan("No-Off", tr.N(), 0)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	env := policy.Env{
 		Bandwidth:       netsim.Mbps(500) * 1000, // never the bottleneck
-		ComputeCores:    opt.workers,
+		ComputeCores:    prepschedWorkers,
 		StorageSlowdown: 1,
 		GPU:             gpu.AlexNet,
 	}
@@ -123,23 +120,22 @@ func writePrepschedJSON(path string, seed uint64, opt prepschedOptions) error {
 		ShuffleSeed: seed,
 		BatchSize:   64,
 		Lookahead:   8,
-		PrepWorkers: opt.workers,
-		HeavyRatio:  opt.threshold,
+		PrepWorkers: prepschedWorkers,
 	}
 	fifoCfg := base
 	fifoCfg.PrepSched = engine.PrepSchedFIFO
 	fifo, err := engine.Run(fifoCfg)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	stealCfg := base
 	stealCfg.PrepSched = engine.PrepSchedSteal
 	steal, err := engine.Run(stealCfg)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if fifo.TrafficBytes != steal.TrafficBytes || fifo.HeavySamples != steal.HeavySamples {
-		return fmt.Errorf("prepsched: scheduling changed the workload: traffic %d/%d heavy %d/%d",
+		return nil, fmt.Errorf("prepsched: scheduling changed the workload: traffic %d/%d heavy %d/%d",
 			fifo.TrafficBytes, steal.TrafficBytes, fifo.HeavySamples, steal.HeavySamples)
 	}
 	report := prepschedReport{
@@ -150,25 +146,17 @@ func writePrepschedJSON(path string, seed uint64, opt prepschedOptions) error {
 			"AlexNet). Regenerate with `sophon-bench -prepsched <file>`.",
 		GoVersion:        runtime.Version(),
 		Samples:          tr.N(),
-		Workers:          opt.workers,
-		HeavyFrac:        opt.heavyFrac,
-		CostRatio:        opt.costRatio,
-		HeavyRatio:       opt.threshold,
+		Workers:          prepschedWorkers,
+		HeavyFrac:        prepschedHeavyFrac,
+		CostRatio:        prepschedCostRatio,
 		HeavySamples:     steal.HeavySamples,
 		FIFO:             prepschedModeOf(fifo),
 		Steal:            prepschedModeOf(steal),
 		PrepschedSpeedup: fifo.EpochTime.Seconds() / steal.EpochTime.Seconds(),
 	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "sophon-bench: prepsched: fifo %.2fs (%.1f%% worker stall) vs steal %.2fs (%.1f%% worker stall, %d steals), %.3fx\n",
+	fmt.Fprintf(log, "sophon-bench: prepsched: fifo %.2fs (%.1f%% worker stall) vs steal %.2fs (%.1f%% worker stall, %d steals), %.3fx\n",
 		report.FIFO.EpochSeconds, 100*report.FIFO.WorkerStallFrac,
 		report.Steal.EpochSeconds, 100*report.Steal.WorkerStallFrac,
 		report.Steal.Steals, report.PrepschedSpeedup)
-	return nil
+	return report, nil
 }

@@ -4,11 +4,10 @@ package perfbench
 // per data-plane kernel) are diffed against a committed baseline the same way
 // SLO records are. Unlike latency, allocation counts are deterministic — the
 // same code allocates the same number of times per op on any machine — so the
-// gate holds allocs/op to the baseline exactly (plus an explicit slack) and
-// deliberately ignores ns/op, which is pure machine noise on shared CI.
+// gate holds allocs/op to the baseline exactly and deliberately ignores
+// ns/op, which is pure machine noise on shared CI.
 
 import (
-	"encoding/json"
 	"fmt"
 	"runtime"
 )
@@ -40,32 +39,14 @@ func NewBenchRecord() (BenchRecord, error) {
 	}, nil
 }
 
-// IsBenchSuite reports whether raw JSON is a `sophon-bench -json` suite
-// record (as opposed to an SLO record or one of the scenario BENCH shapes);
-// the gate uses it to pick CompareBench vs CompareSLO.
-func IsBenchSuite(data []byte) bool {
-	var probe struct {
-		Kind    string   `json:"kind"`
-		Results []Result `json:"results"`
-	}
-	if err := json.Unmarshal(data, &probe); err != nil {
-		return false
-	}
-	return probe.Kind == "BENCH" && len(probe.Results) > 0
-}
-
 // CompareBench diffs cur against prev and returns one message per
 // allocation regression: a kernel gone from the suite, or allocs/op above
-// the baseline plus allocSlack (negative slack → 0, i.e. exact). New kernels
-// in cur never fail — they become the baseline for the next run. ns/op and
-// B/op are reported nowhere here on purpose: timing is machine noise, and
-// alloc *bytes* scale with payload constants the suite may legitimately
-// retune, while alloc *counts* regressing means a hot path gained a heap
-// escape.
-func CompareBench(prev, cur BenchRecord, allocSlack int64) []string {
-	if allocSlack < 0 {
-		allocSlack = 0
-	}
+// the baseline (there is no slack: counts are deterministic). New kernels in
+// cur never fail — they become the baseline for the next run. ns/op and B/op
+// are reported nowhere here on purpose: timing is machine noise, and alloc
+// *bytes* scale with payload constants the suite may legitimately retune,
+// while alloc *counts* regressing means a hot path gained a heap escape.
+func CompareBench(prev, cur BenchRecord) []string {
 	var regs []string
 	curByName := make(map[string]Result, len(cur.Results))
 	for _, r := range cur.Results {
@@ -77,9 +58,8 @@ func CompareBench(prev, cur BenchRecord, allocSlack int64) []string {
 			regs = append(regs, fmt.Sprintf("%s: kernel disappeared from the suite", p.Name))
 			continue
 		}
-		if c.AllocsPerOp > p.AllocsPerOp+allocSlack {
-			regs = append(regs, fmt.Sprintf("%s: allocs/op %d → %d (baseline+%d allowed)",
-				p.Name, p.AllocsPerOp, c.AllocsPerOp, allocSlack))
+		if c.AllocsPerOp > p.AllocsPerOp {
+			regs = append(regs, fmt.Sprintf("%s: allocs/op %d → %d", p.Name, p.AllocsPerOp, c.AllocsPerOp))
 		}
 	}
 	return regs

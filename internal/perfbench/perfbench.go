@@ -2,8 +2,8 @@
 // and reports their results as structured records. It exists so the
 // allocation work in the codec, pipeline, and wire layers can be tracked
 // outside `go test -bench`: sophon-bench's -json flag runs this suite and
-// emits one BENCH record per kernel, which CI and BENCH_pr3.json diff
-// against earlier runs.
+// writes one BENCH record with one result per kernel, which CI gates
+// against the committed BENCH_alloc.json baseline.
 //
 // The suite deliberately re-implements only the loop bodies of the
 // corresponding *_test.go benchmarks (full 640×480 decode, fused tensor

@@ -98,14 +98,11 @@ func ScenarioFromReport(name string, r *loadgen.Report) SLOScenario {
 }
 
 // CompareSLO diffs cur against prev and returns one message per regression
-// past the noise threshold (noise <= 0 → DefaultNoise): throughput down, a
+// past the DefaultNoise threshold: throughput down, a
 // scenario or class gone, or a class p99/p999 up. An empty slice means the
 // gate passes. New scenarios and classes in cur never fail the gate — they
 // become the baseline for the next run.
-func CompareSLO(prev, cur SLORecord, noise float64) []string {
-	if noise <= 0 {
-		noise = DefaultNoise
-	}
+func CompareSLO(prev, cur SLORecord) []string {
 	var regs []string
 	if prev.Version != cur.Version {
 		return []string{fmt.Sprintf("record version changed %d → %d; re-baseline instead of diffing", prev.Version, cur.Version)}
@@ -120,10 +117,10 @@ func CompareSLO(prev, cur SLORecord, noise float64) []string {
 			regs = append(regs, fmt.Sprintf("%s: scenario disappeared", p.Name))
 			continue
 		}
-		if p.ThroughputRPS > 0 && c.ThroughputRPS < p.ThroughputRPS*(1-noise) {
+		if p.ThroughputRPS > 0 && c.ThroughputRPS < p.ThroughputRPS*(1-DefaultNoise) {
 			regs = append(regs, fmt.Sprintf("%s: throughput %.0f rps → %.0f rps (-%.1f%%, threshold %.0f%%)",
 				p.Name, p.ThroughputRPS, c.ThroughputRPS,
-				100*(1-c.ThroughputRPS/p.ThroughputRPS), 100*noise))
+				100*(1-c.ThroughputRPS/p.ThroughputRPS), 100*DefaultNoise))
 		}
 		classes := make([]string, 0, len(p.Classes))
 		for class := range p.Classes {
@@ -144,10 +141,10 @@ func CompareSLO(prev, cur SLORecord, noise float64) []string {
 				{"p99", pc.P99Ms, cc.P99Ms},
 				{"p999", pc.P999Ms, cc.P999Ms},
 			} {
-				if q.prev > 0 && q.curr > q.prev*(1+noise) {
+				if q.prev > 0 && q.curr > q.prev*(1+DefaultNoise) {
 					regs = append(regs, fmt.Sprintf("%s/%s: %s %.3f ms → %.3f ms (+%.1f%%, threshold %.0f%%)",
 						p.Name, class, q.name, q.prev, q.curr,
-						100*(q.curr/q.prev-1), 100*noise))
+						100*(q.curr/q.prev-1), 100*DefaultNoise))
 				}
 			}
 		}
@@ -173,116 +170,56 @@ type Trajectory struct {
 	Entries []TrajectoryEntry `json:"entries"`
 }
 
-// ConvertBenchRecord folds one committed perf record — any of the BENCH_pr*
-// shapes this repo has accumulated, a `sophon-bench -json` suite report, or
-// an SLO record — into a trajectory entry. It detects the shape from the
-// fields present rather than trusting the pr number.
+// ConvertBenchRecord folds one perf record of any shape into a trajectory
+// entry, so a new record kind needs no converter code. Every numeric JSON
+// leaf becomes a metric keyed by its '/'-joined path. An array of objects
+// that carry a string "name" contributes each such element under its name
+// in place of the array's own key (suite results read
+// "imaging/Decode640x480/ns_per_op", SLO scenarios "steady/throughput_rps");
+// any other array is skipped. "pr" and "kind" also fill the entry's PR and
+// Kind. A record with no numeric leaf is an error.
 func ConvertBenchRecord(source string, data []byte) (TrajectoryEntry, error) {
-	var probe struct {
-		Kind               string            `json:"kind"`
-		PR                 int               `json:"pr"`
-		Results            []Result          `json:"results"`
-		Benchmarks         []json.RawMessage `json:"benchmarks"`
-		AdaptiveVsOracle   *float64          `json:"adaptive_vs_oracle"`
-		StaticVsAdaptive   *float64          `json:"static_vs_adaptive"`
-		CoordinatedSpeedup *float64          `json:"coordinated_speedup"`
-		Coordinated        struct {
-			AggregateEpochSeconds float64 `json:"aggregate_epoch_seconds"`
-			CacheHitRate          float64 `json:"cache_hit_rate"`
-		} `json:"coordinated"`
-		PrefetchSpeedup *float64 `json:"prefetch_speedup"`
-		Reactive        struct {
-			EpochSeconds float64 `json:"epoch_seconds"`
-			LinkIdleFrac float64 `json:"link_idle_frac"`
-		} `json:"reactive"`
-		Clairvoyant struct {
-			EpochSeconds float64 `json:"epoch_seconds"`
-			LinkIdleFrac float64 `json:"link_idle_frac"`
-		} `json:"clairvoyant"`
-		TrafficReduction *float64 `json:"traffic_reduction"`
-		Discrete         struct {
-			TrafficMB    float64 `json:"traffic_mb"`
-			EpochSeconds float64 `json:"epoch_seconds"`
-		} `json:"discrete"`
-		Progressive struct {
-			TrafficMB    float64 `json:"traffic_mb"`
-			EpochSeconds float64 `json:"epoch_seconds"`
-			MeanQuality  float64 `json:"mean_quality"`
-		} `json:"progressive"`
-		PrepschedSpeedup *float64 `json:"prepsched_speedup"`
-		FIFO             struct {
-			EpochSeconds    float64 `json:"epoch_seconds"`
-			WorkerStallFrac float64 `json:"worker_stall_frac"`
-		} `json:"fifo"`
-		Steal struct {
-			EpochSeconds    float64 `json:"epoch_seconds"`
-			WorkerStallFrac float64 `json:"worker_stall_frac"`
-		} `json:"steal"`
-		Scenarios []SLOScenario `json:"scenarios"`
-	}
-	if err := json.Unmarshal(data, &probe); err != nil {
+	var rec map[string]any
+	if err := json.Unmarshal(data, &rec); err != nil {
 		return TrajectoryEntry{}, fmt.Errorf("perfbench: convert %s: %w", source, err)
 	}
-	e := TrajectoryEntry{Source: source, PR: probe.PR, Kind: probe.Kind, Metrics: map[string]float64{}}
-	switch {
-	case probe.Kind == "SLO":
-		for _, s := range probe.Scenarios {
-			e.Metrics[s.Name+"/throughput_rps"] = s.ThroughputRPS
-			e.Metrics[s.Name+"/shed_rate"] = s.ShedRate
-			for class, c := range s.Classes {
-				e.Metrics[s.Name+"/"+class+"/p99_ms"] = c.P99Ms
-			}
-		}
-	case len(probe.Results) > 0: // sophon-bench -json suite report
-		for _, r := range probe.Results {
-			e.Metrics[r.Name+"/ns_per_op"] = r.NsPerOp
-			e.Metrics[r.Name+"/allocs_per_op"] = float64(r.AllocsPerOp)
-		}
-	case len(probe.Benchmarks) > 0: // BENCH_pr3: before/after alloc table
-		for _, raw := range probe.Benchmarks {
-			var b struct {
-				Name  string `json:"name"`
-				After struct {
-					NsPerOp     float64 `json:"ns_per_op"`
-					AllocsPerOp float64 `json:"allocs_per_op"`
-				} `json:"after"`
-			}
-			if err := json.Unmarshal(raw, &b); err != nil {
-				return TrajectoryEntry{}, fmt.Errorf("perfbench: convert %s: %w", source, err)
-			}
-			e.Metrics[b.Name+"/ns_per_op"] = b.After.NsPerOp
-			e.Metrics[b.Name+"/allocs_per_op"] = b.After.AllocsPerOp
-		}
-	case probe.AdaptiveVsOracle != nil: // BENCH_pr5: adaptive control plane
-		e.Metrics["adaptive_vs_oracle"] = *probe.AdaptiveVsOracle
-		if probe.StaticVsAdaptive != nil {
-			e.Metrics["static_vs_adaptive"] = *probe.StaticVsAdaptive
-		}
-	case probe.CoordinatedSpeedup != nil: // BENCH_pr6: fleet scenario
-		e.Metrics["coordinated_speedup"] = *probe.CoordinatedSpeedup
-		e.Metrics["coordinated/aggregate_epoch_seconds"] = probe.Coordinated.AggregateEpochSeconds
-		e.Metrics["coordinated/cache_hit_rate"] = probe.Coordinated.CacheHitRate
-	case probe.PrefetchSpeedup != nil: // BENCH_pr8: clairvoyant prefetching
-		e.Metrics["prefetch_speedup"] = *probe.PrefetchSpeedup
-		e.Metrics["reactive/epoch_seconds"] = probe.Reactive.EpochSeconds
-		e.Metrics["reactive/link_idle_frac"] = probe.Reactive.LinkIdleFrac
-		e.Metrics["clairvoyant/epoch_seconds"] = probe.Clairvoyant.EpochSeconds
-		e.Metrics["clairvoyant/link_idle_frac"] = probe.Clairvoyant.LinkIdleFrac
-	case probe.TrafficReduction != nil: // BENCH_pr10: progressive fidelity
-		e.Metrics["traffic_reduction"] = *probe.TrafficReduction
-		e.Metrics["discrete/traffic_mb"] = probe.Discrete.TrafficMB
-		e.Metrics["discrete/epoch_seconds"] = probe.Discrete.EpochSeconds
-		e.Metrics["progressive/traffic_mb"] = probe.Progressive.TrafficMB
-		e.Metrics["progressive/epoch_seconds"] = probe.Progressive.EpochSeconds
-		e.Metrics["progressive/mean_quality"] = probe.Progressive.MeanQuality
-	case probe.PrepschedSpeedup != nil: // BENCH_pr9: variance-aware prepsched
-		e.Metrics["prepsched_speedup"] = *probe.PrepschedSpeedup
-		e.Metrics["fifo/epoch_seconds"] = probe.FIFO.EpochSeconds
-		e.Metrics["fifo/worker_stall_frac"] = probe.FIFO.WorkerStallFrac
-		e.Metrics["steal/epoch_seconds"] = probe.Steal.EpochSeconds
-		e.Metrics["steal/worker_stall_frac"] = probe.Steal.WorkerStallFrac
-	default:
-		return TrajectoryEntry{}, fmt.Errorf("perfbench: convert %s: unrecognized record shape (kind %q)", source, probe.Kind)
+	e := TrajectoryEntry{Source: source, Metrics: map[string]float64{}}
+	e.Kind, _ = rec["kind"].(string)
+	if pr, ok := rec["pr"].(float64); ok {
+		e.PR = int(pr)
+	}
+	flatten(e.Metrics, "", rec)
+	if len(e.Metrics) == 0 {
+		return TrajectoryEntry{}, fmt.Errorf("perfbench: convert %s: no numeric metrics in record (kind %q)", source, e.Kind)
 	}
 	return e, nil
+}
+
+// flatten adds every numeric leaf of v to metrics under prefix (see
+// ConvertBenchRecord for the naming rule).
+func flatten(metrics map[string]float64, prefix string, v any) {
+	join := func(k string) string {
+		if prefix == "" {
+			return k
+		}
+		return prefix + "/" + k
+	}
+	switch v := v.(type) {
+	case float64:
+		metrics[prefix] = v
+	case map[string]any:
+		for k, child := range v {
+			arr, ok := child.([]any)
+			if !ok {
+				flatten(metrics, join(k), child)
+				continue
+			}
+			for _, el := range arr {
+				obj, _ := el.(map[string]any)
+				if name, ok := obj["name"].(string); ok {
+					flatten(metrics, join(name), obj)
+				}
+			}
+		}
+	}
 }
